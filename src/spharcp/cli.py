@@ -281,8 +281,9 @@ def cmd_bench(args) -> int:
         lam = args.lam
         config_echo["lambda"] = lam if np.ndim(lam) == 0 else list(lam)
         config_echo["gamma"] = args.gamma
+        spec = make_scenario(args.scenario, args.q, args.d, args.seed)
         detector = DetectorConfig(
-            p=1, L=10, lam=lam, gamma=args.gamma, delta=args.delta
+            p=spec.p, L=spec.L, lam=lam, gamma=args.gamma, delta=args.delta
         )
         records = run_bench(
             args.scenario, args.q, args.d, args.reps, args.seed, detector, args.threads

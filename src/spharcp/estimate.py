@@ -56,70 +56,36 @@ def _moment_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return c_idx, g_idx
 
 
-def _moments_from_products(prod_slice: np.ndarray, p: int) -> tuple:
-    """Split summed products into (syy, c, G) of the regression normal system."""
-    c_idx, g_idx = _moment_indices(p)
-    return prod_slice[..., 0], prod_slice[..., c_idx], prod_slice[..., g_idx]
-
-
 def soft_threshold(x, thr):
     """Elementwise sign(x) * max(|x| - thr, 0)."""
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
 def _cd_solve(
-    gram: np.ndarray,
-    corr: np.ndarray,
-    thr: float,
-    tol: float,
-    max_iter: int,
-    sweep_objectives: list | None = None,
-) -> np.ndarray:
+    gram: list[list[float]], corr: list[float], thr: float, tol: float, max_iter: int
+) -> list[float]:
     """Cyclic coordinate descent for phi'G phi - 2 corr'phi + 2 thr ||phi||_1.
 
-    Exact soft-threshold updates in fixed cyclic order from a zero start;
-    converged when the largest coordinate change in a sweep is < tol.
+    ``gram`` and ``corr`` are nested lists of floats. Exact soft-threshold
+    updates in fixed cyclic order from a zero start; converged when the
+    largest coordinate change in a sweep is < tol.
     """
-    p = corr.shape[0]
-    phi = np.zeros(p)
+    p = len(corr)
+    phi = [0.0] * p
     for _ in range(max_iter):
         max_delta = 0.0
         for j in range(p):
-            rho = corr[j] - gram[j] @ phi + gram[j, j] * phi[j]
-            new = soft_threshold(rho, thr) / gram[j, j] if gram[j, j] > 0.0 else 0.0
+            row = gram[j]
+            rho = corr[j]
+            for k in range(p):
+                if k != j:
+                    rho -= row[k] * phi[k]
+            new = math.copysign(max(abs(rho) - thr, 0.0), rho) / row[j] if row[j] > 0.0 else 0.0
             delta = abs(new - phi[j])
             phi[j] = new
             if delta > max_delta:
                 max_delta = delta
-        if sweep_objectives is not None:
-            sweep_objectives.append(
-                float(phi @ gram @ phi - 2.0 * corr @ phi + 2.0 * thr * np.abs(phi).sum())
-            )
         if max_delta < tol:
-            break
-    return phi
-
-
-def _cd_solve_p1_batch(
-    gram: np.ndarray, corr: np.ndarray, thr: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    """Vectorized-over-multipole p=1 variant of ``_cd_solve``.
-
-    Replicates the scalar iteration elementwise (including its float
-    operation order), masking converged entries so results are bitwise
-    identical to per-multipole ``_cd_solve`` calls.
-    """
-    phi = np.zeros_like(corr)
-    active = np.ones_like(corr, dtype=bool)
-    pos = gram > 0.0
-    for _ in range(max_iter):
-        # not algebraically simplified: must match _cd_solve's float ops
-        rho = corr - gram * phi + gram * phi
-        new = np.where(pos, soft_threshold(rho, thr) / np.where(pos, gram, 1.0), 0.0)
-        delta = np.abs(new - phi)
-        phi = np.where(active, new, phi)
-        active = active & (delta >= tol)
-        if not active.any():
             break
     return phi
 
@@ -171,25 +137,17 @@ class IntervalLossEngine:
         corr = moments[:, self._c_idx]
         gram = moments[:, self._g_idx]
         thr = cfg.lam_per_ell * np.sqrt(n_eff * self._widths) / 2.0
-
-        if p == 1:
-            g = gram[:, 0, 0]
-            c = corr[:, 0]
-            phi1 = _cd_solve_p1_batch(g, c, thr, cfg.cd_tol, cfg.cd_max_iter)
-            rss = syy - 2.0 * c * phi1 + g * phi1 * phi1
-            phi = phi1.reshape(-1, 1)
-        else:
-            phi = np.empty((cfg.L, p))
-            rss = np.empty(cfg.L)
-            for ell in range(cfg.L):
-                phi[ell] = _cd_solve(
-                    gram[ell], corr[ell], float(thr[ell]), cfg.cd_tol, cfg.cd_max_iter
-                )
-                rss[ell] = (
-                    syy[ell]
-                    - 2.0 * corr[ell] @ phi[ell]
-                    + phi[ell] @ gram[ell] @ phi[ell]
-                )
+        phi = np.array(
+            [
+                _cd_solve(g, c, t, cfg.cd_tol, cfg.cd_max_iter)
+                for g, c, t in zip(gram.tolist(), corr.tolist(), thr.tolist())
+            ]
+        )
+        rss = (
+            syy
+            - 2.0 * np.einsum("lj,lj->l", corr, phi)
+            + np.einsum("lj,ljk,lk->l", phi, gram, phi)
+        )
         rss = np.maximum(rss, 0.0)
         return IntervalFit(
             interval=(s, e), phi=phi, rss=rss, loss=float(rss.sum()), n_eff=n_eff
@@ -211,7 +169,8 @@ def lasso_fit_interval(
     Minimizes the residual sum over t = s+p..e and all m, plus
     ``lam_ell * sqrt(N_I (2 ell + 1)) ||phi||_1`` with N_I = e - s - p + 1,
     by cyclic coordinate descent (soft threshold lam*sqrt(.)/2 since the
-    data term is the plain residual sum, not half of it).
+    data term is the plain residual sum, not half of it). Served by
+    ``IntervalLossEngine``, so it equals the engine's ``phi[ell]`` bitwise.
     """
     if not 0 <= ell < series.L:
         raise ValueError(f"ell={ell} outside 0..{series.L - 1}")
@@ -221,12 +180,10 @@ def lasso_fit_interval(
         raise ValueError(f"interval [{s}, {e}] outside 1..{series.n}")
     if lam_ell < 0:
         raise ValueError("lam_ell must be >= 0")
-    n_eff = e - s - p + 1
-    prod = per_time_products(series, p)
-    moments = prod[s + p - 1 : e, ell].sum(axis=0)
-    _, corr, gram = _moments_from_products(moments, p)
-    thr = lam_ell * math.sqrt(n_eff * (2 * ell + 1)) / 2.0
-    return _cd_solve(gram, corr, thr, cd_tol, cd_max_iter)
+    config = DetectorConfig(
+        p=p, L=ell + 1, lam=lam_ell, delta=p + 1, cd_tol=cd_tol, cd_max_iter=cd_max_iter
+    )
+    return IntervalLossEngine(series, config).fit(s, e).phi[ell]
 
 
 def interval_loss(

@@ -7,7 +7,6 @@ from spharcp.errors import DegenerateFitError
 from spharcp.estimate import (
     IntervalLossEngine,
     _cd_solve,
-    _cd_solve_p1_batch,
     fit_segment_with_intercept,
     interval_loss,
     lasso_fit_interval,
@@ -80,31 +79,23 @@ class TestLassoFitInterval:
                     assert abs(grad[j] + scale * np.sign(fit[j])) <= tol
 
     def test_objective_nonincreasing_across_sweeps(self, rng):
+        thr = 0.7
         for _ in range(10):
             p = int(rng.integers(2, 5))
             x = rng.standard_normal((40, p))
             y = rng.standard_normal(40)
             gram = x.T @ x
             corr = x.T @ y
-            history: list[float] = []
-            _cd_solve(gram, corr, thr=0.7, tol=1e-12, max_iter=200, sweep_objectives=history)
+            history = []
+            for k in range(1, 51):
+                phi = np.array(_cd_solve(gram.tolist(), corr.tolist(), thr, 1e-12, k))
+                history.append(phi @ gram @ phi - 2.0 * corr @ phi + 2.0 * thr * np.abs(phi).sum())
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)
         with pytest.raises(ValueError):
             lasso_fit_interval(series, 5, 6, 0, 2, lam_ell=0.0)
-
-    def test_batch_p1_solver_bitwise_matches_generic(self, rng):
-        g = rng.uniform(0.5, 20.0, size=12)
-        c = rng.standard_normal(12) * 5
-        thr = rng.uniform(0.0, 2.0, size=12)
-        batch = _cd_solve_p1_batch(g, c, thr, tol=1e-8, max_iter=100)
-        for i in range(12):
-            single = _cd_solve(
-                g[i].reshape(1, 1), c[i : i + 1], float(thr[i]), 1e-8, 100
-            )
-            assert batch[i] == single[0]
 
 
 class TestIntervalLoss:
@@ -160,12 +151,16 @@ class TestIntervalLoss:
 
     def test_engine_and_standalone_agree(self):
         series = random_series(n=40, L=2, seed=5)
-        cfg = self.config(L=2, lam=0.2)
-        engine = IntervalLossEngine(series, cfg)
-        a = engine.fit(3, 30)
-        b = interval_loss(series, 3, 30, cfg)
-        assert a.loss == b.loss
-        assert np.array_equal(a.phi, b.phi)
+        for p in (1, 2, 3):
+            cfg = self.config(L=2, lam=0.2, p=p)
+            engine = IntervalLossEngine(series, cfg)
+            a = engine.fit(3, 30)
+            b = interval_loss(series, 3, 30, cfg)
+            assert a.loss == b.loss
+            assert np.array_equal(a.phi, b.phi)
+            for ell in range(2):
+                single = lasso_fit_interval(series, 3, 30, ell, p, lam_ell=0.2)
+                assert np.array_equal(single, a.phi[ell])
 
     def test_products_poisoned_before_lag_window(self):
         series = random_series(n=10, L=1, seed=6)
