@@ -48,6 +48,15 @@ def resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _map(fn, jobs: list[tuple], threads: int | None) -> list:
+    """``[fn(*job) for job in jobs]``, across worker processes when there are several."""
+    workers = min(resolve_threads(threads), len(jobs))
+    if workers == 1:
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
 def make_scenario(
     scenario_id: str,
     q: int,
@@ -94,10 +103,6 @@ def run_replicate(
     return _record(scenario_id, spec, result.change_points, runtime)
 
 
-def _replicate_worker(args) -> BenchRecord:
-    return run_replicate(*args)
-
-
 def run_bench(
     scenario_id: str,
     q: int,
@@ -111,11 +116,7 @@ def run_bench(
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     jobs = [(scenario_id, q, d, base_seed + r, detector) for r in range(reps)]
-    workers = min(resolve_threads(threads), reps)
-    if workers == 1:
-        return [_replicate_worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_worker, jobs))
+    return _map(run_replicate, jobs, threads)
 
 
 def run_tuning_replicate(
@@ -128,28 +129,20 @@ def run_tuning_replicate(
 ) -> dict[tuple[float, float], BenchRecord]:
     """One replicate of the tuning sweep: a single simulated series,
     detected under every (lambda, gamma) combination.
-
-    Interval fits are independent of gamma, so each lambda's loss cache
-    is shared across the gamma grid.
     """
     spec = make_scenario("tuning-grid", q, d, seed)
     series = simulate(spec)
     out: dict[tuple[float, float], BenchRecord] = {}
     for lam in lams:
-        cache: dict[tuple[int, int], float] = {}
         for gamma in gammas:
             cfg = DetectorConfig(p=spec.p, L=spec.L, lam=lam, gamma=gamma, delta=delta)
             start = time.perf_counter()
-            result = detect(series, cfg, loss_cache=cache)
+            result = detect(series, cfg)
             runtime = time.perf_counter() - start
             out[(lam, gamma)] = _record(
                 "tuning-grid", spec, result.change_points, runtime
             )
     return out
-
-
-def _tuning_worker(args) -> dict[tuple[float, float], BenchRecord]:
-    return run_tuning_replicate(*args)
 
 
 def run_tuning_grid(
@@ -166,12 +159,7 @@ def run_tuning_grid(
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     jobs = [(q, d, base_seed + r, tuple(lams), tuple(gammas), delta) for r in range(reps)]
-    workers = min(resolve_threads(threads), reps)
-    if workers == 1:
-        per_rep = [_tuning_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_tuning_worker, jobs))
+    per_rep = _map(run_tuning_replicate, jobs, threads)
     return {
         key: [rep[key] for rep in per_rep] for key in per_rep[0]
     }

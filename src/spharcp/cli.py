@@ -62,29 +62,6 @@ def _load_scenario_config(path) -> dict:
     return cfg
 
 
-def _custom_scenario(cfg: dict, seed: int, burn_in: int, junction: str):
-    """Scenario built from explicit n/L/p/change_points/segments config keys."""
-    from spharcp.io import _segment_from_json
-    from spharcp.simulate import ScenarioSpec
-    from spharcp.types import Partition
-
-    try:
-        p = int(cfg["p"])
-        n = int(cfg["n"])
-        return ScenarioSpec(
-            n=n,
-            L=int(cfg["L"]),
-            p=p,
-            partition=Partition(n=n, change_points=tuple(cfg.get("change_points", ()))),
-            segments=tuple(_segment_from_json(seg, p) for seg in cfg["segments"]),
-            burn_in=burn_in,
-            seed=seed,
-            junction=junction,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad custom scenario config: {exc}") from exc
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_scenario_config(args.config)
     scenario_id = cfg["scenario"]
@@ -95,9 +72,13 @@ def cmd_simulate(args) -> int:
     junction = cfg.get("junction", "continue")
     try:
         if scenario_id == "custom":
-            spec = _custom_scenario(cfg, seed, burn_in, junction)
+            spec = sio.truth_to_scenario(
+                {**cfg, "seed": seed, "burn_in": burn_in, "junction": junction}
+            )
         else:
             spec = make_scenario(scenario_id, q, d, seed, burn_in, junction)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad scenario config: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

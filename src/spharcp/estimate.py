@@ -11,7 +11,6 @@ over m, so a fit touches exactly the data inside its interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,32 +61,45 @@ def soft_threshold(x, thr):
 
 
 def _cd_solve(
-    gram: list[list[float]], corr: list[float], thr: float, tol: float, max_iter: int
-) -> list[float]:
-    """Cyclic coordinate descent for phi'G phi - 2 corr'phi + 2 thr ||phi||_1.
+    gram: np.ndarray, corr: np.ndarray, thr: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
+    """Cyclic coordinate descent for phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
-    ``gram`` and ``corr`` are nested lists of floats. Exact soft-threshold
-    updates in fixed cyclic order from a zero start; converged when the
-    largest coordinate change in a sweep is < tol.
+    Solves R independent problems: ``gram`` (R, p, p), ``corr`` (R, p) and
+    ``thr`` (R,) give (R, p). Exact soft-threshold updates in fixed cyclic
+    order from a zero start; a row is converged, and leaves the batch, after
+    its first sweep whose largest coordinate change is < tol. Every update
+    is elementwise in a fixed order, so each row's iterates are bitwise
+    those of solving it alone.
     """
-    p = len(corr)
-    phi = [0.0] * p
+    R, p = corr.shape
+    out = np.zeros((R, p))
+    rows = np.arange(R)
+    phi = np.zeros((R, p))
+    diag = np.diagonal(gram, axis1=1, axis2=2)
     for _ in range(max_iter):
-        max_delta = 0.0
+        if rows.size == 0:
+            break
+        max_delta = np.zeros(rows.size)
         for j in range(p):
-            row = gram[j]
-            rho = corr[j]
+            rho = corr[:, j].copy()
             for k in range(p):
                 if k != j:
-                    rho -= row[k] * phi[k]
-            new = math.copysign(max(abs(rho) - thr, 0.0), rho) / row[j] if row[j] > 0.0 else 0.0
-            delta = abs(new - phi[j])
-            phi[j] = new
-            if delta > max_delta:
-                max_delta = delta
-        if max_delta < tol:
-            break
-    return phi
+                    rho -= gram[:, j, k] * phi[:, k]
+            gjj = diag[:, j]
+            new = np.copysign(np.maximum(np.abs(rho) - thr, 0.0), rho)
+            new = np.divide(new, gjj, out=np.zeros(rows.size), where=gjj > 0.0)
+            max_delta = np.fmax(max_delta, np.abs(new - phi[:, j]))
+            phi[:, j] = new
+        done = max_delta < tol
+        if done.any():
+            out[rows[done]] = phi[done]
+            keep = ~done
+            rows, phi, gram, corr, thr, diag = (
+                rows[keep], phi[keep], gram[keep], corr[keep], thr[keep], diag[keep]
+            )
+    out[rows] = phi
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,10 +121,11 @@ class IntervalFit:
 class IntervalLossEngine:
     """Fits intervals of one series under one config, reusing shared products.
 
-    Construction precomputes the per-timestamp cross products once; each
-    ``fit(s, e)`` then reduces to slice sums plus a coordinate-descent
-    solve per multipole. Instances are immutable after construction and
-    safe to share across threads.
+    Construction precomputes the per-timestamp cross products once;
+    ``fit_column(e, starts)`` then reduces to one suffix sum plus one
+    batched coordinate-descent solve over every (s, ell), and ``fit(s, e)``
+    is the column of the single start s. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, series: CoefficientSeries, config: DetectorConfig):
@@ -124,33 +137,57 @@ class IntervalLossEngine:
         self._widths = 2.0 * np.arange(config.L) + 1.0
         self._c_idx, self._g_idx = _moment_indices(config.p)
 
-    def fit(self, s: int, e: int) -> IntervalFit:
+    def fit_column(self, e: int, starts) -> tuple[np.ndarray, np.ndarray]:
+        """Fit every interval [s, e] for s in ``starts`` at once.
+
+        Returns ``phi`` (S, L, p) and ``rss`` (S, L). The moments of [s, e]
+        are a suffix sum of the product rows t = s+p..e, accumulated from
+        t = e down, so each fit reads only the data in [s, e] and is bitwise
+        the same whichever other starts share the column.
+        """
         cfg = self.config
-        p = cfg.p
-        if not 1 <= s <= e <= self.series.n:
-            raise ValueError(f"interval [{s}, {e}] outside 1..{self.series.n}")
-        if e - s < p:
+        p, L = cfg.p, cfg.L
+        n = self.series.n
+        starts = np.asarray(starts, dtype=int)
+        bad = starts[(starts < 1) | (e > n) | (e - starts < p)]
+        if bad.size:
+            s = int(bad[0])
+            if not 1 <= s <= e <= n:
+                raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
             raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
-        n_eff = e - s - p + 1
-        moments = self._prod[s + p - 1 : e, : cfg.L].sum(axis=0)  # (L, n_pairs)
-        syy = moments[:, 0]
-        corr = moments[:, self._c_idx]
-        gram = moments[:, self._g_idx]
-        thr = cfg.lam_per_ell * np.sqrt(n_eff * self._widths) / 2.0
-        phi = np.array(
-            [
-                _cd_solve(g, c, t, cfg.cd_tol, cfg.cd_max_iter)
-                for g, c, t in zip(gram.tolist(), corr.tolist(), thr.tolist())
-            ]
-        )
-        rss = (
-            syy
-            - 2.0 * np.einsum("lj,lj->l", corr, phi)
-            + np.einsum("lj,ljk,lk->l", phi, gram, phi)
-        )
-        rss = np.maximum(rss, 0.0)
+        lo = int(starts.min())
+        suffix = np.cumsum(self._prod[lo + p - 1 : e, :L][::-1], axis=0)[::-1]
+        moments = suffix[starts - lo]  # (S, L, n_pairs)
+        syy = moments[:, :, 0]
+        corr = moments[:, :, self._c_idx]
+        gram = moments[:, :, self._g_idx]
+        n_eff = e - starts - p + 1
+        thr = cfg.lam_per_ell * np.sqrt(n_eff[:, None] * self._widths) / 2.0
+        S = starts.size
+        phi = _cd_solve(
+            gram.reshape(S * L, p, p),
+            corr.reshape(S * L, p),
+            thr.reshape(S * L),
+            cfg.cd_tol,
+            cfg.cd_max_iter,
+        ).reshape(S, L, p)
+        cross = np.zeros((S, L))
+        quad = np.zeros((S, L))
+        for j in range(p):
+            cross += corr[:, :, j] * phi[:, :, j]
+            for k in range(p):
+                quad += phi[:, :, j] * gram[:, :, j, k] * phi[:, :, k]
+        rss = np.maximum(syy - 2.0 * cross + quad, 0.0)
+        return phi, rss
+
+    def fit(self, s: int, e: int) -> IntervalFit:
+        phi, rss = self.fit_column(e, [s])
         return IntervalFit(
-            interval=(s, e), phi=phi, rss=rss, loss=float(rss.sum()), n_eff=n_eff
+            interval=(s, e),
+            phi=phi[0],
+            rss=rss[0],
+            loss=float(rss.sum(axis=1)[0]),
+            n_eff=e - s - self.config.p + 1,
         )
 
 

@@ -146,7 +146,7 @@ def write_truth(path, spec: ScenarioSpec, scenario_meta: dict | None = None) -> 
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path, expected_kind: str) -> dict:
+def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -157,21 +157,29 @@ def _read_json(path, expected_kind: str) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != expected_kind:
         raise ParseError(f"{path}: not a {expected_kind} document")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ParseError(f"{path}: {expected_kind} document lacks {', '.join(missing)}")
     return doc
 
 
 def read_truth(path) -> dict:
-    return _read_json(path, "spharcp-truth")
+    return _read_json(
+        path, "spharcp-truth", ("n", "L", "p", "change_points", "segments", "burn_in", "seed")
+    )
 
 
 def truth_to_scenario(doc: dict) -> ScenarioSpec:
-    """Rebuild the full scenario from a truth document."""
+    """Rebuild the full scenario from a truth document or a custom scenario config.
+
+    ``change_points`` defaults to none and ``junction`` to "continue".
+    """
     p = int(doc["p"])
     return ScenarioSpec(
         n=int(doc["n"]),
         L=int(doc["L"]),
         p=p,
-        partition=Partition(n=int(doc["n"]), change_points=tuple(doc["change_points"])),
+        partition=Partition(n=int(doc["n"]), change_points=tuple(doc.get("change_points", ()))),
         segments=tuple(_segment_from_json(seg, p) for seg in doc["segments"]),
         burn_in=int(doc["burn_in"]),
         seed=int(doc["seed"]),
@@ -198,7 +206,7 @@ def write_result(path, doc: dict) -> None:
 
 
 def read_result(path) -> dict:
-    return _read_json(path, "spharcp-result")
+    return _read_json(path, "spharcp-result", ("n", "change_points"))
 
 
 def write_metrics(path, doc: dict) -> None:

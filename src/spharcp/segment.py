@@ -24,14 +24,12 @@ class DpTable:
     ``best_cost[e]`` is the optimal objective of the prefix 1..e
     (``best_cost[0] = 0``), ``back_pointer[e]`` the start of the last
     segment at that optimum (-1 where no admissible partition exists),
-    and ``loss_cache`` maps (s, e) to the interval loss of [s, e] for
-    every interval the recursion evaluated.
+    and ``n_segments[e]`` the number of segments of that optimum.
     """
 
     best_cost: np.ndarray
     back_pointer: np.ndarray
     n_segments: np.ndarray
-    loss_cache: dict[tuple[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -62,26 +60,14 @@ class DetectionResult:
         )
 
 
-def detect(
-    series: CoefficientSeries,
-    config: DetectorConfig,
-    loss_cache: dict[tuple[int, int], float] | None = None,
-) -> DetectionResult:
+def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult:
     """Detect change points of a coefficient series.
 
     Runs the exact minimal-partitioning recursion over all segmentations
-    whose segments have length >= ``config.delta``. Ties are broken
-    toward fewer segments, then toward the larger start of the last
-    segment. Deterministic for fixed inputs.
-
-    Parameters
-    ----------
-    series : CoefficientSeries
-    config : DetectorConfig
-    loss_cache : dict, optional
-        Existing (s, e) -> loss memo from a previous run on the *same
-        series* with the same fit-relevant settings (p, L, lam, delta,
-        tolerances); pass it when sweeping gamma to skip refitting.
+    whose segments have length >= ``config.delta``. Each segment end e
+    fits every admissible [s, e] in one ``IntervalLossEngine.fit_column``
+    call. Ties are broken toward fewer segments, then toward the larger
+    start of the last segment. Deterministic for fixed inputs.
 
     Returns
     -------
@@ -105,38 +91,20 @@ def detect(
             "returned the single-segment partition",
         )
 
-    cache: dict[tuple[int, int], float] = loss_cache if loss_cache is not None else {}
     best = np.full(n + 1, math.inf)
     best[0] = 0.0
     nseg = np.zeros(n + 1, dtype=int)
     back = np.full(n + 1, -1, dtype=int)
-    gamma = config.gamma
 
     for e in range(delta, n + 1):
-        best_cost = math.inf
-        best_nseg = -1
-        best_s = -1
-        for s in range(1, e - delta + 2):
-            prev = best[s - 1]
-            if not math.isfinite(prev):
-                continue
-            key = (s, e)
-            loss = cache.get(key)
-            if loss is None:
-                loss = engine.fit(s, e).loss
-                cache[key] = loss
-            cost = prev + loss + gamma
-            cand_nseg = nseg[s - 1] + 1
-            if cost < best_cost or (
-                cost == best_cost
-                and (cand_nseg < best_nseg or (cand_nseg == best_nseg and s > best_s))
-            ):
-                best_cost = cost
-                best_nseg = cand_nseg
-                best_s = s
-        best[e] = best_cost
-        nseg[e] = best_nseg
-        back[e] = best_s
+        s = np.flatnonzero(np.isfinite(best[: e - delta + 1])) + 1
+        _, rss = engine.fit_column(e, s)
+        cost = best[s - 1] + rss.sum(axis=1) + config.gamma
+        cand_nseg = nseg[s - 1] + 1
+        i = np.lexsort((-s, cand_nseg, cost))[0]
+        best[e] = cost[i]
+        nseg[e] = cand_nseg[i]
+        back[e] = s[i]
 
     starts: list[int] = []
     e = n
@@ -153,7 +121,7 @@ def detect(
         fits=fits,
         objective=float(best[n]),
         config=config,
-        dp=DpTable(best_cost=best, back_pointer=back, n_segments=nseg, loss_cache=cache),
+        dp=DpTable(best_cost=best, back_pointer=back, n_segments=nseg),
     )
 
 
@@ -163,7 +131,7 @@ def objective_of(
     """Partition objective sum_I loss(I) + gamma * (K + 1), computed from scratch.
 
     Serves as the audit oracle for ``detect``: every segment is refitted
-    independently of any cache.
+    on its own, outside the recursion.
     """
     if partition.n != series.n:
         raise ValueError("partition length does not match series")

@@ -85,6 +85,14 @@ def test_simulate_bad_config_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
+    cfg = json.loads(tiny_config.read_text())
+    del cfg["segments"]
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+
+
 def test_detect_recovers_change_point(tmp_path, tiny_config):
     coeffs = tmp_path / "coeffs.csv"
     result_path = tmp_path / "result.json"
@@ -246,6 +254,26 @@ def test_eval_n_mismatch_exit_code(tmp_path, tiny_config):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("which, key", [("result", "change_points"), ("truth", "n")])
+def test_eval_missing_key_is_parse_error(tmp_path, tiny_config, which, key):
+    coeffs = tmp_path / "coeffs.csv"
+    paths = {"result": tmp_path / "result.json", "truth": tmp_path / "coeffs.truth.json"}
+    main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)])
+    main(["detect", "--in", str(coeffs), "--out", str(paths["result"]), "--gamma", "30"])
+    doc = json.loads(paths[which].read_text())
+    del doc[key]
+    paths[which].write_text(json.dumps(doc))
+    code = main(
+        [
+            "eval",
+            "--in", str(paths["result"]),
+            "--truth", str(paths["truth"]),
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 3
 
 
 def test_bench_two_replicates(tmp_path):

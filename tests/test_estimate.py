@@ -88,9 +88,24 @@ class TestLassoFitInterval:
             corr = x.T @ y
             history = []
             for k in range(1, 51):
-                phi = np.array(_cd_solve(gram.tolist(), corr.tolist(), thr, 1e-12, k))
+                phi = _cd_solve(gram[None], corr[None], np.array([thr]), 1e-12, k)[0]
                 history.append(phi @ gram @ phi - 2.0 * corr @ phi + 2.0 * thr * np.abs(phi).sum())
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+    def test_batched_rows_match_rows_solved_alone(self, rng):
+        # each row's iterates are independent of the batch it is solved in
+        for p in (1, 2, 3):
+            x = rng.standard_normal((30, 25, p))
+            x[:10, :, -1] = x[:10, :, 0] + 1e-4 * rng.standard_normal((10, 25))
+            gram = np.einsum("rtj,rtk->rjk", x, x)
+            corr = np.einsum("rtj,rt->rj", x, rng.standard_normal((30, 25)))
+            gram[3, 0, 0] = 0.0
+            thr = rng.uniform(0.0, 3.0, 30)
+            batch = _cd_solve(gram, corr, thr, 1e-8, 10000)
+            for r in range(30):
+                alone = _cd_solve(gram[r : r + 1], corr[r : r + 1], thr[r : r + 1], 1e-8, 10000)
+                assert np.array_equal(batch[r], alone[0])
+            assert batch[3, 0] == 0.0
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)

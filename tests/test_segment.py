@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spharcp.estimate import interval_loss
+from spharcp.estimate import IntervalLossEngine, interval_loss
 from spharcp.segment import detect, objective_of
 from spharcp.simulate import scenario_table1, simulate
 from spharcp.types import CoefficientSeries, DetectorConfig, Partition
@@ -95,11 +95,10 @@ class TestDetectBehavior:
 
     def test_khat_nonincreasing_in_gamma(self):
         series = simulate(scenario_table1("balanced", q=8, d=2, seed=99))
-        cache: dict = {}
         khats = []
         for gamma in (0.0, 50.0, 150.0, 400.0, 1e4, 1e12):
             config = DetectorConfig(p=1, L=10, gamma=gamma, delta=5)
-            khats.append(len(detect(series, config, loss_cache=cache).change_points))
+            khats.append(len(detect(series, config).change_points))
         assert khats == sorted(khats, reverse=True)
 
     def test_detects_planted_change_point(self):
@@ -119,12 +118,15 @@ class TestDetectBehavior:
 
 
 class TestDpTable:
-    def test_loss_cache_matches_fresh_recomputation(self):
+    def test_column_losses_match_fresh_recomputation(self):
         series = random_series(n=25, L=2, seed=71)
         config = DetectorConfig(p=1, L=2, lam=0.4, gamma=1.0, delta=4)
-        result = detect(series, config)
-        for (s, e), cached in result.dp.loss_cache.items():
-            assert cached == interval_loss(series, s, e, config).loss
+        engine = IntervalLossEngine(series, config)
+        for e in range(config.delta, series.n + 1):
+            starts = np.arange(1, e - config.delta + 2)
+            _, rss = engine.fit_column(e, starts)
+            for s, loss in zip(starts, rss.sum(axis=1)):
+                assert loss == interval_loss(series, int(s), e, config).loss
 
     def test_bellman_feasibility(self):
         series = random_series(n=25, L=1, seed=72)
@@ -132,25 +134,19 @@ class TestDpTable:
         result = detect(series, config)
         dp = result.dp
         n = series.n
+
+        def loss(s, e):
+            return interval_loss(series, s, e, config).loss
+
         for e in range(config.delta, n + 1):
             for s in range(1, e - config.delta + 2):
                 if not math.isfinite(dp.best_cost[s - 1]):
                     continue
-                bound = dp.best_cost[s - 1] + dp.loss_cache[(s, e)] + config.gamma
+                bound = dp.best_cost[s - 1] + loss(s, e) + config.gamma
                 assert dp.best_cost[e] <= bound + 1e-9
             s_star = int(dp.back_pointer[e])
-            chosen = dp.best_cost[s_star - 1] + dp.loss_cache[(s_star, e)] + config.gamma
+            chosen = dp.best_cost[s_star - 1] + loss(s_star, e) + config.gamma
             assert dp.best_cost[e] == pytest.approx(chosen, rel=1e-12)
-
-    def test_shared_cache_reused_across_gammas(self):
-        series = random_series(n=30, L=1, seed=73)
-        cache: dict = {}
-        config_a = DetectorConfig(p=1, L=1, gamma=0.1, delta=3)
-        detect(series, config_a, loss_cache=cache)
-        size_after_first = len(cache)
-        config_b = DetectorConfig(p=1, L=1, gamma=5.0, delta=3)
-        detect(series, config_b, loss_cache=cache)
-        assert len(cache) == size_after_first
 
 
 class TestObjectiveOf:
