@@ -24,15 +24,17 @@ def _pair_indices(p: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(p + 1) for k in range(j, p + 1)]
 
 
-def per_time_products(series: CoefficientSeries, p: int) -> np.ndarray:
+def per_time_products(series: CoefficientSeries, p: int, L: int | None = None) -> np.ndarray:
     """Cross products sum_m a(t-j) a(t-k) for all lag pairs, per multipole.
 
-    Returns shape ``(n, L, n_pairs)``; row t-1 is defined for t >= p+1 and
+    Covers multipoles ``0..L-1`` (all of the series' by default). Returns
+    shape ``(n, L, n_pairs)``; row t-1 is defined for t >= p+1 and
     poisoned with NaN before that, so a mis-sliced interval fails loudly.
     An interval's Gram system is the sum of these rows over t = s+p..e,
     which involves the data in [s, e] only.
     """
-    n, L = series.n, series.L
+    n = series.n
+    L = series.L if L is None else L
     pairs = _pair_indices(p)
     prod = np.full((n, L, len(pairs)), np.nan)
     for ell in range(L):
@@ -133,7 +135,7 @@ class IntervalLossEngine:
             raise ValueError(f"config.L={config.L} exceeds series L={series.L}")
         self.series = series
         self.config = config
-        self._prod = per_time_products(series, config.p)
+        self._prod = per_time_products(series, config.p, config.L)
         self._widths = 2.0 * np.arange(config.L) + 1.0
         self._c_idx, self._g_idx = _moment_indices(config.p)
 
@@ -156,7 +158,7 @@ class IntervalLossEngine:
                 raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
             raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
         lo = int(starts.min())
-        suffix = np.cumsum(self._prod[lo + p - 1 : e, :L][::-1], axis=0)[::-1]
+        suffix = np.cumsum(self._prod[lo + p - 1 : e][::-1], axis=0)[::-1]
         moments = suffix[starts - lo]  # (S, L, n_pairs)
         syy = moments[:, :, 0]
         corr = moments[:, :, self._c_idx]

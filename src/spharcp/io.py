@@ -1,15 +1,16 @@
 """File formats: coefficient tables, truth sidecars, result and metrics documents.
 
 The coefficient format is plain comma-separated text with one record per
-line (``t,ell,m,value``, 1-based t, rows sorted by key) behind an
-optional single-line config comment, so files are language-neutral and
-diff-able. Everything else is JSON with a ``kind`` tag and an embedded
-copy of the configuration that produced the file.
+line (``t,ell,m,value``, 1-based t, written sorted by key, read in any
+order) behind an optional single-line config comment, so files are
+language-neutral and diff-able. Everything else is JSON with a ``kind``
+tag and an embedded copy of the configuration that produced the file.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
-    slot_index,
 )
 
 CONFIG_PREFIX = "# spharcp-config "
@@ -34,78 +34,145 @@ def _dumps_config(obj) -> str:
 
 
 def write_coefficients(path, series: CoefficientSeries, meta: dict | None = None) -> None:
-    """Write a coefficient series, optionally embedding a config comment."""
-    lines = []
-    if meta is not None:
-        lines.append(CONFIG_PREFIX + _dumps_config(meta))
-    lines.append(COEFF_HEADER)
-    for t in range(1, series.n + 1):
-        row = series.data[t - 1]
-        for ell in range(series.L):
-            for m in range(-ell, ell + 1):
-                # repr of a Python float is the shortest round-trip decimal
-                lines.append(f"{t},{ell},{m},{float(row[slot_index(ell, m)])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a coefficient series, optionally embedding a config comment.
+
+    One ``%r`` row template covers every (ell, m) slot of a timestamp, so
+    each timestamp is a single string format of its row; ``%r`` of a
+    Python float is the shortest round-trip decimal.
+    """
+    slots = [f",{ell},{m},%r\n" for ell in range(series.L) for m in range(-ell, ell + 1)]
+    with open(path, "w", encoding="utf-8") as fh:
+        if meta is not None:
+            fh.write(CONFIG_PREFIX + _dumps_config(meta) + "\n")
+        fh.write(COEFF_HEADER + "\n")
+        for t, row in enumerate(series.data, start=1):
+            prefix = str(t)
+            fh.write((prefix + prefix.join(slots)) % tuple(row.tolist()))
+
+
+_ROW_DTYPE = np.dtype([("t", np.int64), ("ell", np.int64), ("m", np.int64), ("value", np.float64)])
+
+
+class _IndexOutOfRange(ValueError):
+    """A row that parses but names no (t, ell, m) slot."""
+
+    def __init__(self, row):
+        super().__init__(f"index (t={row['t']}, ell={row['ell']}, m={row['m']}) out of range")
+
+
+def _parse_rows(source) -> np.ndarray:
+    """Parse ``t,ell,m,value`` rows from an open file or a list of lines.
+
+    Blank lines are skipped. Raises ValueError for a row that is not three
+    integers and a float, or whose index is out of range. Every row is
+    checked on its own, so a set of lines fails exactly when one of its
+    lines fails alone.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(source, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+    ell, m = rows["ell"], rows["m"]
+    bad = (rows["t"] < 1) | (ell < 0) | (m < -ell) | (m > ell)
+    if bad.any():
+        raise _IndexOutOfRange(rows[np.argmax(bad)])
+    return rows
+
+
+def _bad_row_error(lines: list[str], first_lineno: int) -> ParseError:
+    """Name the first of ``lines`` that ``_parse_rows`` rejects, by halving.
+
+    ``lines`` must contain a bad row; ``first_lineno`` is the 1-based line
+    number of ``lines[0]`` in the file.
+    """
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(lines[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        _parse_rows(lines[lo:hi])
+    except _IndexOutOfRange as exc:
+        return ParseError(f"line {first_lineno + lo}: {exc}")
+    except ValueError:
+        pass
+    return ParseError(
+        f"line {first_lineno + lo}: expected 4 comma-separated fields, three integers "
+        f"t,ell,m and a float value; got {lines[lo].rstrip()!r}"
+    )
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
+    """ParseError naming the line of the first byte of ``path`` that is not UTF-8.
+
+    ``exc`` may come from decoding one chunk of the file, so its offset is
+    found again by decoding the whole file.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = raw.count(b"\n", 0, whole.start) + 1
+        return ParseError(f"line {line}: {path} is not UTF-8 text: {whole.reason}")
+    return ParseError(f"{path} is not UTF-8 text: {exc}")
 
 
 def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
     """Parse a coefficient file; returns the series and the embedded config, if any.
 
-    Accepts externally produced files without the config comment. Raises
-    ParseError with the offending line number for malformed rows, and
+    Accepts externally produced files without the config comment, rows in
+    any order, blank lines and CRLF line ends. Raises ParseError with the
+    offending line number for malformed rows and undecodable bytes, and
     for structurally incomplete files (missing or duplicate slots).
     """
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as fh:
+            meta = None
+            line = fh.readline()
+            lineno = 1
+            if line.startswith("#"):
+                if line.startswith(CONFIG_PREFIX):
+                    try:
+                        meta = json.loads(line[len(CONFIG_PREFIX) :])
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(f"line 1: bad config comment: {exc}") from exc
+                line = fh.readline()
+                lineno = 2
+            if line.rstrip("\n") != COEFF_HEADER:
+                raise ParseError(f"line {lineno}: expected header {COEFF_HEADER!r}")
+            try:
+                rows = _parse_rows(fh)
+            except ValueError as exc:
+                # A UnicodeDecodeError recurs in readlines and is handled below
+                fh.seek(0)
+                raise _bad_row_error(fh.readlines()[lineno:], lineno + 1) from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    meta = None
-    pos = 0
-    if pos < len(lines) and lines[pos].startswith("#"):
-        if lines[pos].startswith(CONFIG_PREFIX):
-            try:
-                meta = json.loads(lines[pos][len(CONFIG_PREFIX) :])
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line 1: bad config comment: {exc}") from exc
-        pos += 1
-    if pos >= len(lines) or lines[pos] != COEFF_HEADER:
-        raise ParseError(f"line {pos + 1}: expected header {COEFF_HEADER!r}")
-    pos += 1
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
 
-    records: list[tuple[int, int, int, float]] = []
-    for lineno in range(pos, len(lines)):
-        line = lines[lineno]
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno + 1}: expected 4 comma-separated fields")
-        try:
-            t, ell, m = int(parts[0]), int(parts[1]), int(parts[2])
-            value = float(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno + 1}: {exc}") from exc
-        if t < 1 or ell < 0 or not -ell <= m <= ell:
-            raise ParseError(f"line {lineno + 1}: index (t={t}, ell={ell}, m={m}) out of range")
-        records.append((t, ell, m, value))
-
-    if not records:
+    if rows.size == 0:
         raise ParseError("no coefficient rows found")
-    n = max(r[0] for r in records)
-    L = max(r[1] for r in records) + 1
-    data = np.empty((n, L * L))
-    seen = np.zeros((n, L * L), dtype=bool)
-    for t, ell, m, value in records:
-        col = slot_index(ell, m)
-        if seen[t - 1, col]:
-            raise ParseError(f"duplicate record for (t={t}, ell={ell}, m={m})")
-        seen[t - 1, col] = True
-        data[t - 1, col] = value
-    if not seen.all():
+    n = int(rows["t"].max())
+    L = int(rows["ell"].max()) + 1
+    ell = rows["ell"]
+    # row t-1, column slot_index(ell, m), of the flat (n, L*L) array
+    slot = (rows["t"] - 1) * (L * L) + ell * ell + ell + rows["m"]
+    counts = np.bincount(slot, minlength=n * L * L)
+    if (counts > 1).any():
+        order = np.argsort(slot, kind="stable")
+        ranked = slot[order]
+        row = rows[order[1:][ranked[1:] == ranked[:-1]].min()]
+        raise ParseError(f"duplicate record for (t={row['t']}, ell={row['ell']}, m={row['m']})")
+    if (counts == 0).any():
         raise ParseError("incomplete coefficient grid: some (t, ell, m) slots missing")
+    data = np.empty(n * L * L)
+    data[slot] = rows["value"]
     try:
-        series = CoefficientSeries(n=n, L=L, data=data)
+        series = CoefficientSeries(n=n, L=L, data=data.reshape(n, L * L))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return series, meta
@@ -148,9 +215,11 @@ def write_truth(path, spec: ScenarioSpec, scenario_meta: dict | None = None) -> 
 
 def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -132,6 +132,13 @@ def test_detect_truncated_input_exit_code(tmp_path):
     assert main(["detect", "--in", str(bad), "--out", str(tmp_path / "r.json")]) == 3
 
 
+def test_detect_undecodable_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bin.csv"
+    bad.write_bytes(b"t,ell,m,value\n1,0,0,0.5\n2,0,0,\xff\n")
+    assert main(["detect", "--in", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_detect_intercept_and_theory_bounds(tmp_path, tiny_config):
     coeffs = tmp_path / "coeffs.csv"
     result_path = tmp_path / "result.json"
@@ -265,6 +272,24 @@ def test_eval_missing_key_is_parse_error(tmp_path, tiny_config, which, key):
     doc = json.loads(paths[which].read_text())
     del doc[key]
     paths[which].write_text(json.dumps(doc))
+    code = main(
+        [
+            "eval",
+            "--in", str(paths["result"]),
+            "--truth", str(paths["truth"]),
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 3
+
+
+@pytest.mark.parametrize("which", ["result", "truth"])
+def test_eval_undecodable_document_is_parse_error(tmp_path, tiny_config, which):
+    coeffs = tmp_path / "coeffs.csv"
+    paths = {"result": tmp_path / "result.json", "truth": tmp_path / "coeffs.truth.json"}
+    main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)])
+    main(["detect", "--in", str(coeffs), "--out", str(paths["result"]), "--gamma", "30"])
+    paths[which].write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
     code = main(
         [
             "eval",

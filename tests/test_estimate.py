@@ -177,6 +177,19 @@ class TestIntervalLoss:
                 single = lasso_fit_interval(series, 3, 30, ell, p, lam_ell=0.2)
                 assert np.array_equal(single, a.phi[ell])
 
+    @pytest.mark.parametrize("p, lam", [(1, 0.0), (2, 0.3)])
+    def test_fit_reads_only_the_configured_multipoles(self, p, lam):
+        series = random_series(n=40, L=4, seed=8)
+        cut = CoefficientSeries(n=40, L=2, data=series.data[:, :4])
+        cfg = self.config(L=2, lam=lam, p=p)
+        full, alone = interval_loss(series, 2, 37, cfg), interval_loss(cut, 2, 37, cfg)
+        assert np.array_equal(full.phi, alone.phi)
+        assert np.array_equal(full.rss, alone.rss)
+        assert full.loss == alone.loss
+        assert np.array_equal(
+            per_time_products(series, p, 2), per_time_products(series, p)[:, :2], equal_nan=True
+        )
+
     def test_products_poisoned_before_lag_window(self):
         series = random_series(n=10, L=1, seed=6)
         prod = per_time_products(series, p=2)

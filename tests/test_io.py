@@ -1,7 +1,12 @@
 """Coefficient file format and JSON document round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spharcp.errors import ParseError
 from spharcp.io import (
@@ -13,6 +18,7 @@ from spharcp.io import (
     write_truth,
 )
 from spharcp.simulate import scenario_table1, simulate
+from spharcp.types import CoefficientSeries
 
 from conftest import random_series
 
@@ -86,6 +92,169 @@ class TestCoefficientFile:
         path.write_text("t,ell,m,value\n1,0,1,0.1\n")
         with pytest.raises(ParseError, match="line 2"):
             read_coefficients(path)
+
+
+class TestReaderContract:
+    """What the reader accepts and how it reports a bad file."""
+
+    @staticmethod
+    def _read(tmp_path, text, name="f.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return read_coefficients(path)
+
+    def test_bad_row_line_counts_config_comment(self, tmp_path):
+        text = '# spharcp-config {"seed": 1}\nt,ell,m,value\n1,0,0,1.5\n2,0,x,0.5\n'
+        with pytest.raises(ParseError, match=r"^line 4: "):
+            self._read(tmp_path, text)
+
+    def test_bad_row_line_counts_other_comment(self, tmp_path):
+        text = "# made elsewhere\nt,ell,m,value\n1,0,0,1.5\n2,0,0,0.5x\n"
+        with pytest.raises(ParseError, match=r"^line 4: "):
+            self._read(tmp_path, text)
+
+    def test_bad_row_line_counts_blank_lines(self, tmp_path):
+        text = "t,ell,m,value\n1,0,0,1.5\n\n\n2,0,0,oops\n"
+        with pytest.raises(ParseError, match=r"^line 5: "):
+            self._read(tmp_path, text)
+
+    @pytest.mark.parametrize("row", ["2,0,0", "2,0,0,0.5,7"])
+    def test_wrong_field_count_reports_line(self, tmp_path, row):
+        text = f"t,ell,m,value\n1,0,0,1.5\n\n{row}\n3,0,0,1.0\n"
+        with pytest.raises(ParseError, match=r"^line 4: "):
+            self._read(tmp_path, text)
+
+    def test_float_in_integer_field_reports_line(self, tmp_path):
+        text = "t,ell,m,value\n1,0,0,1.5\n2.0,0,0,0.5\n"
+        with pytest.raises(ParseError, match=r"^line 3: "):
+            self._read(tmp_path, text)
+
+    def test_out_of_range_after_blank_line_reports_line(self, tmp_path):
+        text = "t,ell,m,value\n1,0,0,1.5\n\n2,1,2,0.5\n"
+        with pytest.raises(ParseError, match=r"^line 4: .*out of range"):
+            self._read(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["1,0,0,1.0", "2,0,-1,1.0", "3,0,0,1.0", "4,0,0,x"], 3),
+            (["1,0,0,1.0", "2,0,0,x", "3,0,0,1.0", "4,0,-1,1.0"], 3),
+        ],
+    )
+    def test_first_bad_row_wins_whatever_its_fault(self, tmp_path, rows, line):
+        text = "t,ell,m,value\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match=rf"^line {line}: "):
+            self._read(tmp_path, text)
+
+    def test_crlf_file_parses_to_same_array(self, tmp_path):
+        series = random_series(n=4, L=2, seed=5)
+        meta = {"scenario": "custom", "seed": 5}
+        path = tmp_path / "lf.csv"
+        write_coefficients(path, series, meta)
+        crlf = path.read_bytes().replace(b"\n", b"\r\n")
+        parsed, parsed_meta = self._read(tmp_path, crlf.decode(), "crlf.csv")
+        assert parsed_meta == meta
+        assert np.array_equal(parsed.data, series.data)
+
+    def test_rows_in_any_order_give_the_sorted_array(self, tmp_path):
+        series = random_series(n=5, L=3, seed=6)
+        path = tmp_path / "sorted.csv"
+        write_coefficients(path, series)
+        header, *rows = path.read_text().splitlines()
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        assert shuffled != rows
+        parsed, _ = self._read(tmp_path, "\n".join([header, *shuffled]) + "\n", "shuffled.csv")
+        assert np.array_equal(parsed.data, series.data)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_header_without_rows(self, tmp_path, body):
+        with pytest.raises(ParseError, match="no coefficient rows found"):
+            self._read(tmp_path, "t,ell,m,value\n" + body)
+
+    def test_duplicate_names_first_repeated_record(self, tmp_path):
+        rows = ["1,0,0,1.0", "1,1,-1,1.0", "1,1,0,1.0", "1,1,1,1.0",
+                "1,1,0,2.0", "1,0,0,2.0", "1,1,-1,2.0"]
+        text = "t,ell,m,value\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match=r"duplicate record for \(t=1, ell=1, m=0\)"):
+            self._read(tmp_path, text)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        with pytest.raises(ParseError):
+            self._read(tmp_path, "t,ell,m,value\n1,0,0,nan\n")
+
+    def test_undecodable_file_is_parse_error_with_line(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"t,ell,m,value\n1,0,0,1.5\n2,0,0,\xff\n")
+        with pytest.raises(ParseError, match=r"^line 3: "):
+            read_coefficients(path)
+
+
+# Bytes the earlier per-row writer produced for FIXED_SERIES and FIXED_META: values across
+# repr's exponent switches, a signed zero and the smallest subnormal.
+FIXED_SERIES = CoefficientSeries(
+    n=2,
+    L=2,
+    data=np.array(
+        [
+            [0.1, -0.0, 5e-324, 1e16],
+            [1e-05, -2.5e-300, 123456789.125, 9999999999999998.0],
+        ]
+    ),
+)
+FIXED_META = {"scenario": "custom", "seed": 7, "note": "fixed"}
+FIXED_BYTES = (
+    b'# spharcp-config {"note": "fixed", "scenario": "custom", "seed": 7}\n'
+    b"t,ell,m,value\n"
+    b"1,0,0,0.1\n"
+    b"1,1,-1,-0.0\n"
+    b"1,1,0,5e-324\n"
+    b"1,1,1,1e+16\n"
+    b"2,0,0,1e-05\n"
+    b"2,1,-1,-2.5e-300\n"
+    b"2,1,0,123456789.125\n"
+    b"2,1,1,9999999999999998.0\n"
+)
+
+
+def test_writer_bytes_match_the_recorded_format(tmp_path):
+    path = tmp_path / "fixed.csv"
+    write_coefficients(path, FIXED_SERIES, FIXED_META)
+    assert path.read_bytes() == FIXED_BYTES
+    write_coefficients(path, FIXED_SERIES)
+    assert path.read_bytes() == FIXED_BYTES.split(b"\n", 1)[1]
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999999999e-06,
+    1.0000000000000002e-05, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+]
+_finite = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _series_and_meta(draw):
+    n = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 3))
+    values = draw(st.lists(_finite, min_size=n * L * L, max_size=n * L * L))
+    meta = draw(st.none() | st.just({"scenario": "custom", "n": n, "L": L}))
+    return CoefficientSeries(n=n, L=L, data=np.array(values).reshape(n, L * L)), meta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_and_meta())
+def test_write_read_rewrite_is_exact(case):
+    series, meta = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_coefficients(first, series, meta)
+        parsed, parsed_meta = read_coefficients(first)
+        write_coefficients(second, parsed, parsed_meta)
+        assert second.read_bytes() == first.read_bytes()
+    assert parsed_meta == meta
+    assert (parsed.n, parsed.L) == (series.n, series.L)
+    # bitwise, so -0.0 and 0.0 are told apart
+    assert np.array_equal(parsed.data.view(np.int64), series.data.view(np.int64))
 
 
 class TestTruthDocument:
