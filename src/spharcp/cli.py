@@ -79,8 +79,6 @@ def cmd_simulate(args) -> int:
             spec = make_scenario(scenario_id, q, d, seed, burn_in, junction)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     series = simulate(spec)
     meta = {
@@ -104,21 +102,15 @@ def cmd_simulate(args) -> int:
 
 
 def _detector_from_args(args, series_L: int) -> DetectorConfig:
-    L = args.L if args.L is not None else series_L
-    try:
-        return DetectorConfig(
-            p=args.p,
-            L=L,
-            lam=args.lam,
-            gamma=args.gamma,
-            delta=args.delta,
-            cd_tol=args.cd_tol,
-            cd_max_iter=args.cd_max_iter,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return DetectorConfig(
+        p=args.p,
+        L=args.L if args.L is not None else series_L,
+        lam=args.lam,
+        gamma=args.gamma,
+        delta=args.delta,
+        cd_tol=args.cd_tol,
+        cd_max_iter=args.cd_max_iter,
+    )
 
 
 def _fitted_segment_specs(result) -> tuple[list[SegmentSpec] | None, str | None]:

@@ -314,9 +314,4 @@ def mean_surface(mu_hat: np.ndarray, coeffs: ArCoefficients) -> np.ndarray:
         raise DegenerateFitError(
             f"mean surface undefined: 1 - sum(phi) is near zero at multipole {int(small[0])}"
         )
-    out = np.empty_like(mu_hat)
-    for ell in range(L):
-        out[ell * ell : (ell + 1) * (ell + 1)] = (
-            mu_hat[ell * ell : (ell + 1) * (ell + 1)] / denom[ell]
-        )
-    return out
+    return mu_hat / np.repeat(denom, 2 * np.arange(L) + 1)

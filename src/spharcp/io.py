@@ -23,6 +23,7 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
+    slot_index,
 )
 
 CONFIG_PREFIX = "# spharcp-config "
@@ -158,9 +159,8 @@ def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
         raise ParseError("no coefficient rows found")
     n = int(rows["t"].max())
     L = int(rows["ell"].max()) + 1
-    ell = rows["ell"]
     # row t-1, column slot_index(ell, m), of the flat (n, L*L) array
-    slot = (rows["t"] - 1) * (L * L) + ell * ell + ell + rows["m"]
+    slot = (rows["t"] - 1) * (L * L) + slot_index(rows["ell"], rows["m"])
     counts = np.bincount(slot, minlength=n * L * L)
     if (counts > 1).any():
         order = np.argsort(slot, kind="stable")

@@ -2,18 +2,20 @@
 
 Every (ell, m) stream draws from its own RNG substream keyed by
 (seed, slot), so output is deterministic, independent of evaluation
-order, and stable under extending L.
+order, and stable under extending L. The AR recursion runs over all
+slots at once and adds the lag terms in order with elementwise
+arithmetic (no BLAS call), so the output bits do not depend on the BLAS
+build.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from spharcp.diagnostics import check_causality
-from spharcp.types import ArCoefficients, CoefficientSeries, Partition, SegmentSpec, slot_index
+from spharcp.types import ArCoefficients, CoefficientSeries, Partition, SegmentSpec
 
 DEFAULT_BURN_IN = 500
 
@@ -200,36 +202,40 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     Each (ell, m) component is an AR(p) recursion whose coefficients and
     innovation variance switch at the change points; the series starts
     from ``burn_in`` discarded warm-up steps of the first segment's
-    dynamics. Output is bit-reproducible for a fixed spec.
+    dynamics. One recursion steps all L*L slots at once: the per-slot
+    ``phi`` and ``sqrt(noise_spectrum)`` of a segment are its multipole
+    values repeated 2*ell+1 times, and each step adds the lag terms one
+    at a time in lag order, then the innovation. No BLAS call is made,
+    so the output bits do not depend on the BLAS build, and a fixed
+    spec always gives the same series.
     """
     program = _step_program(spec)
     total = sum(count for count, _, _, _ in program)
-    data = np.empty((spec.n, spec.L * spec.L))
+    slots = spec.L * spec.L
+    noise = np.empty((total, slots))
+    for slot in range(slots):
+        noise[:, slot] = np.random.default_rng([spec.seed, slot]).standard_normal(total)
 
-    for ell in range(spec.L):
-        width = 2 * ell + 1
-        noise = np.empty((total, width))
-        for m in range(-ell, ell + 1):
-            rng = np.random.default_rng([spec.seed, slot_index(ell, m)])
-            noise[:, m + ell] = rng.standard_normal(total)
+    widths = 2 * np.arange(spec.L) + 1
+    hist = np.zeros((spec.p, slots))  # hist[j-1] = value at lag j
+    emitted = []
+    pos = 0
+    for count, k, emit, reset in program:
+        if reset:
+            hist[:] = 0.0
+        segment = spec.segments[k]
+        phi = np.repeat(segment.coeffs.phi.T, widths, axis=1)  # phi[j-1] = lag-j weight per slot
+        block = noise[pos : pos + count]  # innovations, overwritten row by row by the path
+        block *= np.repeat(np.sqrt(segment.noise_spectrum), widths)
+        for z in block:
+            lags = phi[0] * hist[0]
+            for j in range(1, spec.p):
+                lags += phi[j] * hist[j]
+            z += lags
+            hist[1:] = hist[:-1]
+            hist[0] = z
+        if emit:
+            emitted.append(block)
+        pos += count
 
-        hist = np.zeros((spec.p, width))  # hist[j-1] = value at lag j
-        emitted = np.empty((spec.n, width))
-        pos = 0
-        row = 0
-        for count, k, emit, reset in program:
-            if reset:
-                hist = np.zeros_like(hist)
-            phi = spec.segments[k].coeffs.phi[ell]
-            sigma = math.sqrt(spec.segments[k].noise_spectrum[ell])
-            for _ in range(count):
-                val = phi @ hist + sigma * noise[pos]
-                hist[1:] = hist[:-1]
-                hist[0] = val
-                if emit:
-                    emitted[row] = val
-                    row += 1
-                pos += 1
-        data[:, ell * ell : (ell + 1) * (ell + 1)] = emitted
-
-    return CoefficientSeries(n=spec.n, L=spec.L, data=data)
+    return CoefficientSeries(n=spec.n, L=spec.L, data=np.concatenate(emitted))

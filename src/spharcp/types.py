@@ -14,14 +14,14 @@ import numpy as np
 from spharcp.errors import ConfigError
 
 
-def slot_index(ell: int, m: int) -> int:
+def slot_index(ell: int | np.ndarray, m: int | np.ndarray) -> int | np.ndarray:
     """Flat storage slot of the (ell, m) harmonic component.
 
     Components are stored ragged-flat with offset ``ell**2``, so slot
     ``ell**2 + (m + ell)`` holds order m of multipole ell and lookup is
-    O(1) arithmetic.
+    O(1) arithmetic. ``ell`` and ``m`` may be ints or integer arrays.
     """
-    if not -ell <= m <= ell:
+    if np.any((m < -ell) | (m > ell)):
         raise ValueError(f"order m={m} outside [-{ell}, {ell}]")
     return ell * ell + (m + ell)
 

@@ -93,6 +93,30 @@ def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
     assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"]],
+    ids=["delta-1", "lambda-negative", "L-too-large"],
+)
+def test_detect_bad_setting_exits_2_with_one_error_line(tmp_path, tiny_config, capsys, flags):
+    coeffs = tmp_path / "coeffs.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)]) == 0
+    capsys.readouterr()
+    argv = ["detect", "--in", str(coeffs), "--out", str(tmp_path / "r.json"), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_noncausal_custom_config_exits_2(tmp_path, tiny_config, capsys):
+    cfg = json.loads(tiny_config.read_text())
+    cfg["segments"][1]["phi"] = [[1.5], [0.6]]
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: segment is not causal at multipole 0\n"
+
+
 def test_detect_recovers_change_point(tmp_path, tiny_config):
     coeffs = tmp_path / "coeffs.csv"
     result_path = tmp_path / "result.json"

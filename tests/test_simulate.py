@@ -1,5 +1,7 @@
 """Scenario recipes and the piecewise AR simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,79 @@ def test_ar1_helper_matches_direct_recursion():
         x = 0.4 * x + np.sqrt(2.0) * draws[i]
         out.append(x)
     assert np.allclose(series.stream(0, 0), out, rtol=0, atol=1e-12)
+
+
+def replay_stream(spec, ell, m):
+    """Scalar oracle: replay one (ell, m) stream in plain Python floats.
+
+    Draws the stream's own substream, runs the burn-in and every segment
+    in order (re-warming from zero at each change point under
+    ``junction="restart"``), and forms each value as the lag terms added
+    one at a time in lag order plus the scaled innovation.
+    """
+    slot = ell * ell + ell + m
+    blocks = [(spec.burn_in, 0, False, False)]
+    for k, (start, end) in enumerate(spec.partition.segments()):
+        if k > 0 and spec.junction == "restart":
+            blocks.append((spec.burn_in, k, False, True))
+        blocks.append((end - start + 1, k, True, False))
+    total = sum(count for count, _, _, _ in blocks)
+    draws = np.random.default_rng([spec.seed, slot]).standard_normal(total).tolist()
+    hist = [0.0] * spec.p  # hist[j] = value at lag j + 1
+    out = []
+    pos = 0
+    for count, k, emit, reset in blocks:
+        if reset:
+            hist = [0.0] * spec.p
+        phi = [float(v) for v in spec.segments[k].coeffs.phi[ell]]
+        sigma = math.sqrt(float(spec.segments[k].noise_spectrum[ell]))
+        for _ in range(count):
+            acc = phi[0] * hist[0]
+            for j in range(1, spec.p):
+                acc += phi[j] * hist[j]
+            val = acc + sigma * draws[pos]
+            hist = [val] + hist[:-1]
+            if emit:
+                out.append(val)
+            pos += 1
+    return out
+
+
+# three segments per order with distinct, causal coefficients for each multipole
+REPLAY_PHI = {
+    1: ([[0.5], [-0.3], [0.7]], [[-0.6], [0.4], [0.2]], [[0.3], [0.8], [-0.5]]),
+    2: (
+        [[0.5, -0.3], [0.2, 0.4], [-0.6, 0.1]],
+        [[-0.4, 0.2], [0.7, -0.2], [0.1, 0.3]],
+        [[0.3, 0.3], [-0.5, -0.1], [0.6, -0.4]],
+    ),
+    3: (
+        [[0.4, -0.2, 0.1], [0.2, 0.3, -0.2], [-0.5, 0.1, 0.05]],
+        [[-0.3, 0.2, 0.1], [0.6, -0.2, 0.1], [0.1, 0.2, 0.3]],
+        [[0.3, 0.1, -0.2], [-0.4, -0.1, 0.2], [0.5, -0.3, 0.1]],
+    ),
+}
+REPLAY_NOISE = ([1.0, 0.5, 0.25], [0.3, 2.0, 0.7], [1.5, 0.1, 0.9])
+
+
+@pytest.mark.parametrize("junction", ["continue", "restart"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_simulate_matches_scalar_replay_bitwise(p, junction):
+    L, n = 3, 45
+    spec = ScenarioSpec(
+        n=n,
+        L=L,
+        p=p,
+        partition=Partition(n=n, change_points=(16, 31)),
+        segments=tuple(
+            SegmentSpec(coeffs=ArCoefficients(p=p, phi=phi), noise_spectrum=np.array(c))
+            for phi, c in zip(REPLAY_PHI[p], REPLAY_NOISE)
+        ),
+        burn_in=40,
+        seed=29,
+        junction=junction,
+    )
+    series = simulate(spec)
+    for ell in range(L):
+        for m in range(-ell, ell + 1):
+            assert np.array_equal(series.stream(ell, m), replay_stream(spec, ell, m)), (ell, m)
