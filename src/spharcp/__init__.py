@@ -17,7 +17,6 @@ from spharcp.estimate import (
     IntervalLossEngine,
     SegmentFit,
     fit_segment_with_intercept,
-    interval_loss,
     lasso_fit_interval,
     mean_surface,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "detect",
     "fit_segment_with_intercept",
     "hausdorff_scaled",
-    "interval_loss",
     "jump_size",
     "lasso_fit_interval",
     "mean_surface",

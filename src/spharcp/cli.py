@@ -108,8 +108,6 @@ def _detector_from_args(args, series_L: int) -> DetectorConfig:
         lam=args.lam,
         gamma=args.gamma,
         delta=args.delta,
-        cd_tol=args.cd_tol,
-        cd_max_iter=args.cd_max_iter,
     )
 
 
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="detect change points in a coefficient file")
     p_det.add_argument("--in", dest="infile", required=True, help="coefficient file")
     p_det.add_argument("--out", required=True, help="result JSON to write")
-    p_det.add_argument("--p", type=int, default=1, help="AR order (default 1)")
+    p_det.add_argument("--p", type=int, default=1, help="AR order, 1..5 (default 1)")
     p_det.add_argument("--L", type=int, default=None, help="multipoles to use (default: all)")
     p_det.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, default=0.0,
@@ -326,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_det.add_argument("--gamma", type=float, default=0.0, help="segment penalty")
     p_det.add_argument("--delta", type=int, default=5, help="min segment length (default 5)")
-    p_det.add_argument("--cd-tol", type=float, default=1e-8)
-    p_det.add_argument("--cd-max-iter", type=int, default=10000)
     p_det.add_argument(
         "--intercept", action="store_true",
         help="fit per-segment intercepts and emit mean surfaces",

@@ -11,6 +11,7 @@ over m, so a fit touches exactly the data inside its interval.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,46 +63,64 @@ def soft_threshold(x, thr):
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
-def _cd_solve(
-    gram: np.ndarray, corr: np.ndarray, thr: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    """Cyclic coordinate descent for phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
+def _lasso_solve(gram: np.ndarray, corr: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Exact minimizer of phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
     Solves R independent problems: ``gram`` (R, p, p), ``corr`` (R, p) and
-    ``thr`` (R,) give (R, p). Exact soft-threshold updates in fixed cyclic
-    order from a zero start; a row is converged, and leaves the batch, after
-    its first sweep whose largest coordinate change is < tol. Every update
-    is elementwise in a fixed order, so each row's iterates are bitwise
-    those of solving it alone.
+    ``thr`` (R,) give (R, p). Some minimizer has a nonsingular active Gram
+    block (Tibshirani 2013, "The lasso problem and uniqueness"), so the
+    minimum is among the candidates that solve G_AA x = corr_A - thr sigma
+    with sign(x) = sigma, over every support A and sign vector sigma on A;
+    such a candidate has objective -x'(corr_A - thr sigma). G_AA is factored
+    by a square-root-free LDL' whose pivots must all be > 0. The least
+    candidate objective wins, by strict <, from phi = 0 at objective 0.
+    Every step is elementwise in a fixed order, so each row is bitwise the
+    row solved alone; at p = 1 this is soft(corr, thr) / G.
     """
     R, p = corr.shape
-    out = np.zeros((R, p))
-    rows = np.arange(R)
-    phi = np.zeros((R, p))
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    for _ in range(max_iter):
-        if rows.size == 0:
-            break
-        max_delta = np.zeros(rows.size)
-        for j in range(p):
-            rho = corr[:, j].copy()
-            for k in range(p):
-                if k != j:
-                    rho -= gram[:, j, k] * phi[:, k]
-            gjj = diag[:, j]
-            new = np.copysign(np.maximum(np.abs(rho) - thr, 0.0), rho)
-            new = np.divide(new, gjj, out=np.zeros(rows.size), where=gjj > 0.0)
-            max_delta = np.fmax(max_delta, np.abs(new - phi[:, j]))
-            phi[:, j] = new
-        done = max_delta < tol
-        if done.any():
-            out[rows[done]] = phi[done]
-            keep = ~done
-            rows, phi, gram, corr, thr, diag = (
-                rows[keep], phi[keep], gram[keep], corr[keep], thr[keep], diag[keep]
-            )
-    out[rows] = phi
-    return out
+    phi = np.zeros((p, R))
+    best = np.zeros(R)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, p + 1):
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))[:, :, None]
+            for A in itertools.combinations(range(p), k):
+                d, low = [], {}
+                for j in range(k):
+                    for i in range(j, k):
+                        v = gram[:, A[i], A[j]]
+                        for m in range(j):
+                            v = v - low[i, m] * low[j, m] * d[m]
+                        if i == j:
+                            d.append(v)
+                        else:
+                            low[i, j] = v / d[j]
+                # every sign vector at once: b, z and x are (2^k, R) per coordinate
+                b = [corr[:, a] - thr * signs[:, j] for j, a in enumerate(A)]
+                z = []
+                for j in range(k):
+                    v = b[j]
+                    for m in range(j):
+                        v = v - low[j, m] * z[m]
+                    z.append(v)
+                x = [None] * k
+                for j in reversed(range(k)):
+                    v = z[j] / d[j]
+                    for i in range(j + 1, k):
+                        v = v - low[i, j] * x[i]
+                    x[j] = v
+                ok = np.logical_and.reduce([dj > 0.0 for dj in d])
+                obj = 0.0
+                for j in range(k):
+                    ok = ok & (signs[:, j] * x[j] > 0.0)
+                    obj = obj - x[j] * b[j]
+                obj = np.where(ok, obj, np.inf)
+                for i in range(len(signs)):
+                    better = obj[i] < best
+                    np.copyto(best, obj[i], where=better)
+                    np.copyto(phi, 0.0, where=better)
+                    for j, a in enumerate(A):
+                        np.copyto(phi[a], x[j][i], where=better)
+    return phi.T
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,7 @@ class IntervalLossEngine:
 
     Construction precomputes the per-timestamp cross products once;
     ``fit_column(e, starts)`` then reduces to one suffix sum plus one
-    batched coordinate-descent solve over every (s, ell), and ``fit(s, e)``
+    batched exact LASSO solve over every (s, ell), and ``fit(s, e)``
     is the column of the single start s. Instances are immutable after
     construction and safe to share across threads.
     """
@@ -166,12 +185,8 @@ class IntervalLossEngine:
         n_eff = e - starts - p + 1
         thr = cfg.lam_per_ell * np.sqrt(n_eff[:, None] * self._widths) / 2.0
         S = starts.size
-        phi = _cd_solve(
-            gram.reshape(S * L, p, p),
-            corr.reshape(S * L, p),
-            thr.reshape(S * L),
-            cfg.cd_tol,
-            cfg.cd_max_iter,
+        phi = _lasso_solve(
+            gram.reshape(S * L, p, p), corr.reshape(S * L, p), thr.reshape(S * L)
         ).reshape(S, L, p)
         cross = np.zeros((S, L))
         quad = np.zeros((S, L))
@@ -200,16 +215,14 @@ def lasso_fit_interval(
     ell: int,
     p: int,
     lam_ell: float,
-    cd_tol: float = 1e-8,
-    cd_max_iter: int = 10000,
 ) -> np.ndarray:
     """L1-penalized AR(p) fit of multipole ell on the interval [s, e].
 
     Minimizes the residual sum over t = s+p..e and all m, plus
     ``lam_ell * sqrt(N_I (2 ell + 1)) ||phi||_1`` with N_I = e - s - p + 1,
-    by cyclic coordinate descent (soft threshold lam*sqrt(.)/2 since the
-    data term is the plain residual sum, not half of it). Served by
-    ``IntervalLossEngine``, so it equals the engine's ``phi[ell]`` bitwise.
+    exactly (threshold lam*sqrt(.)/2 since the data term is the plain
+    residual sum, not half of it). Served by ``IntervalLossEngine``, so it
+    equals the engine's ``phi[ell]`` bitwise.
     """
     if not 0 <= ell < series.L:
         raise ValueError(f"ell={ell} outside 0..{series.L - 1}")
@@ -219,21 +232,8 @@ def lasso_fit_interval(
         raise ValueError(f"interval [{s}, {e}] outside 1..{series.n}")
     if lam_ell < 0:
         raise ValueError("lam_ell must be >= 0")
-    config = DetectorConfig(
-        p=p, L=ell + 1, lam=lam_ell, delta=p + 1, cd_tol=cd_tol, cd_max_iter=cd_max_iter
-    )
+    config = DetectorConfig(p=p, L=ell + 1, lam=lam_ell, delta=p + 1)
     return IntervalLossEngine(series, config).fit(s, e).phi[ell]
-
-
-def interval_loss(
-    series: CoefficientSeries, s: int, e: int, config: DetectorConfig
-) -> IntervalFit:
-    """Fit every multipole on [s, e] and return the summed interval loss.
-
-    Equivalent to ``IntervalLossEngine(series, config).fit(s, e)``; use
-    the engine directly when fitting many intervals of the same series.
-    """
-    return IntervalLossEngine(series, config).fit(s, e)
 
 
 @dataclass(frozen=True)

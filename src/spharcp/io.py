@@ -264,8 +264,6 @@ def detector_config_to_json(config: DetectorConfig) -> dict:
         "lambda": float(lam[0]) if np.all(lam == lam[0]) else lam.tolist(),
         "gamma": config.gamma,
         "delta": config.delta,
-        "cd_tol": config.cd_tol,
-        "cd_max_iter": config.cd_max_iter,
     }
 
 

@@ -207,7 +207,8 @@ class DetectorConfig:
     Parameters
     ----------
     p : int
-        Autoregressive order, >= 1.
+        Autoregressive order, 1..5 (the exact interval solve visits 3^p
+        sign patterns).
     L : int
         Number of multipoles used for fitting.
     lam : float | sequence of float
@@ -217,10 +218,6 @@ class DetectorConfig:
         Per-segment penalty of the partition objective, >= 0.
     delta : int
         Minimum admissible segment length, >= p + 1. Default 5.
-    cd_tol : float
-        Coordinate-descent convergence tolerance (max coordinate change).
-    cd_max_iter : int
-        Sweep cap for coordinate descent.
     """
 
     p: int
@@ -228,21 +225,17 @@ class DetectorConfig:
     lam: float | tuple[float, ...] = 0.0
     gamma: float = 0.0
     delta: int = 5
-    cd_tol: float = 1e-8
-    cd_max_iter: int = 10000
     lam_per_ell: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
+        if not 1 <= self.p <= 5:
+            raise ConfigError("p must be between 1 and 5")
         if self.L < 1:
             raise ConfigError("L must be >= 1")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
         if self.delta < self.p + 1:
             raise ConfigError(f"delta must be >= p + 1 = {self.p + 1}")
-        if self.cd_tol <= 0 or self.cd_max_iter < 1:
-            raise ConfigError("cd_tol must be > 0 and cd_max_iter >= 1")
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim == 0:
             lam = np.full(self.L, float(lam))

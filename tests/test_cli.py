@@ -95,8 +95,8 @@ def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"]],
-    ids=["delta-1", "lambda-negative", "L-too-large"],
+    [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"]],
+    ids=["delta-1", "lambda-negative", "L-too-large", "p-above-cap"],
 )
 def test_detect_bad_setting_exits_2_with_one_error_line(tmp_path, tiny_config, capsys, flags):
     coeffs = tmp_path / "coeffs.csv"

@@ -6,9 +6,8 @@ import pytest
 from spharcp.errors import DegenerateFitError
 from spharcp.estimate import (
     IntervalLossEngine,
-    _cd_solve,
+    _lasso_solve,
     fit_segment_with_intercept,
-    interval_loss,
     lasso_fit_interval,
     mean_surface,
     per_time_products,
@@ -67,7 +66,7 @@ class TestLassoFitInterval:
             p = int(rng.integers(1, 4))
             s, e = 5, 65
             lam = float(rng.uniform(0.1, 2.0))
-            fit = lasso_fit_interval(series, s, e, ell, p, lam_ell=lam, cd_tol=1e-12)
+            fit = lasso_fit_interval(series, s, e, ell, p, lam_ell=lam)
             y, x = dense_design(series, s, e, ell, p)
             grad = 2.0 * (x.T @ x @ fit - x.T @ y)
             scale = penalty_scale(lam, s, e, ell, p)
@@ -78,22 +77,16 @@ class TestLassoFitInterval:
                 else:
                     assert abs(grad[j] + scale * np.sign(fit[j])) <= tol
 
-    def test_objective_nonincreasing_across_sweeps(self, rng):
-        thr = 0.7
-        for _ in range(10):
-            p = int(rng.integers(2, 5))
-            x = rng.standard_normal((40, p))
-            y = rng.standard_normal(40)
-            gram = x.T @ x
-            corr = x.T @ y
-            history = []
-            for k in range(1, 51):
-                phi = _cd_solve(gram[None], corr[None], np.array([thr]), 1e-12, k)[0]
-                history.append(phi @ gram @ phi - 2.0 * corr @ phi + 2.0 * thr * np.abs(phi).sum())
-            assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+    def test_near_collinear_unpenalized_row_reaches_ols_rss(self, rng):
+        x = rng.standard_normal((40, 3))
+        x[:, 2] = x[:, 0] + 1e-3 * rng.standard_normal(40)
+        y = rng.standard_normal(40)
+        phi = _lasso_solve((x.T @ x)[None], (x.T @ y)[None], np.zeros(1))[0]
+        _, (oracle,), _, _ = np.linalg.lstsq(x, y, rcond=None)
+        assert float(((y - x @ phi) ** 2).sum()) == pytest.approx(oracle, rel=1e-12)
 
     def test_batched_rows_match_rows_solved_alone(self, rng):
-        # each row's iterates are independent of the batch it is solved in
+        # each row's solve is independent of the batch it is solved in
         for p in (1, 2, 3):
             x = rng.standard_normal((30, 25, p))
             x[:10, :, -1] = x[:10, :, 0] + 1e-4 * rng.standard_normal((10, 25))
@@ -101,11 +94,17 @@ class TestLassoFitInterval:
             corr = np.einsum("rtj,rt->rj", x, rng.standard_normal((30, 25)))
             gram[3, 0, 0] = 0.0
             thr = rng.uniform(0.0, 3.0, 30)
-            batch = _cd_solve(gram, corr, thr, 1e-8, 10000)
+            corr[4, 0], corr[5, 0] = thr[4], -thr[5]
+            batch = _lasso_solve(gram, corr, thr)
             for r in range(30):
-                alone = _cd_solve(gram[r : r + 1], corr[r : r + 1], thr[r : r + 1], 1e-8, 10000)
+                alone = _lasso_solve(gram[r : r + 1], corr[r : r + 1], thr[r : r + 1])
                 assert np.array_equal(batch[r], alone[0])
             assert batch[3, 0] == 0.0
+            if p == 1:
+                g = gram[:, 0, 0]
+                soft = np.divide(soft_threshold(corr[:, 0], thr), g, out=np.zeros(30), where=g > 0)
+                assert np.array_equal(batch[:, 0], soft)
+                assert batch[4, 0] == batch[5, 0] == 0.0
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)
@@ -119,7 +118,7 @@ class TestIntervalLoss:
 
     def test_zero_series_zero_loss(self):
         series = CoefficientSeries(n=30, L=2, data=np.zeros((30, 4)))
-        fit = interval_loss(series, 1, 30, self.config(L=2))
+        fit = IntervalLossEngine(series, self.config(L=2)).fit(1, 30)
         assert fit.loss == 0.0
         assert np.array_equal(fit.phi, np.zeros((2, 1)))
 
@@ -129,25 +128,25 @@ class TestIntervalLoss:
             p = int(rng.integers(1, 3))
             s = int(rng.integers(1, 40))
             e = int(rng.integers(s + p + 4, 61))
-            fit = interval_loss(series, s, e, self.config(L=2, p=p))
+            fit = IntervalLossEngine(series, self.config(L=2, p=p)).fit(s, e)
             oracle = sum(ols_rss(series, s, e, ell, p) for ell in range(2))
             assert fit.loss == pytest.approx(oracle, rel=1e-9)
 
     def test_loss_is_sum_of_rss(self):
         series = random_series(n=50, L=3, seed=8)
-        fit = interval_loss(series, 3, 47, self.config(L=3, lam=0.7))
+        fit = IntervalLossEngine(series, self.config(L=3, lam=0.7)).fit(3, 47)
         assert fit.loss == float(fit.rss.sum())
 
     def test_penalized_loss_at_least_ols_loss(self, rng):
         series = random_series(n=60, L=2, seed=12)
         for lam in (0.3, 1.0, 4.0):
-            penalized = interval_loss(series, 5, 55, self.config(L=2, lam=lam))
-            unpenalized = interval_loss(series, 5, 55, self.config(L=2, lam=0.0))
+            penalized = IntervalLossEngine(series, self.config(L=2, lam=lam)).fit(5, 55)
+            unpenalized = IntervalLossEngine(series, self.config(L=2, lam=0.0)).fit(5, 55)
             assert penalized.loss >= unpenalized.loss - 1e-12
 
     def test_n_eff(self):
         series = random_series(n=30, L=1, seed=3)
-        fit = interval_loss(series, 4, 20, self.config(L=1, p=2))
+        fit = IntervalLossEngine(series, self.config(L=1, p=2)).fit(4, 20)
         assert fit.n_eff == 20 - 4 - 2 + 1
 
     def test_depends_only_on_interior_data(self):
@@ -155,12 +154,12 @@ class TestIntervalLoss:
         series = random_series(n=60, L=2, seed=44)
         cfg = self.config(L=2, lam=0.5)
         s, e = 20, 40
-        base = interval_loss(series, s, e, cfg)
+        base = IntervalLossEngine(series, cfg).fit(s, e)
         data = series.data.copy()
         data[: s - 1] += 100.0
         data[e:] -= 77.0
         perturbed = CoefficientSeries(n=60, L=2, data=data)
-        other = interval_loss(perturbed, s, e, cfg)
+        other = IntervalLossEngine(perturbed, cfg).fit(s, e)
         assert other.loss == base.loss
         assert np.array_equal(other.phi, base.phi)
 
@@ -170,7 +169,7 @@ class TestIntervalLoss:
             cfg = self.config(L=2, lam=0.2, p=p)
             engine = IntervalLossEngine(series, cfg)
             a = engine.fit(3, 30)
-            b = interval_loss(series, 3, 30, cfg)
+            b = IntervalLossEngine(series, cfg).fit(3, 30)
             assert a.loss == b.loss
             assert np.array_equal(a.phi, b.phi)
             for ell in range(2):
@@ -182,7 +181,8 @@ class TestIntervalLoss:
         series = random_series(n=40, L=4, seed=8)
         cut = CoefficientSeries(n=40, L=2, data=series.data[:, :4])
         cfg = self.config(L=2, lam=lam, p=p)
-        full, alone = interval_loss(series, 2, 37, cfg), interval_loss(cut, 2, 37, cfg)
+        full = IntervalLossEngine(series, cfg).fit(2, 37)
+        alone = IntervalLossEngine(cut, cfg).fit(2, 37)
         assert np.array_equal(full.phi, alone.phi)
         assert np.array_equal(full.rss, alone.rss)
         assert full.loss == alone.loss

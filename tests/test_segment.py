@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spharcp.estimate import IntervalLossEngine, interval_loss
+from spharcp.estimate import IntervalLossEngine
 from spharcp.segment import detect, objective_of
 from spharcp.simulate import scenario_table1, simulate
 from spharcp.types import CoefficientSeries, DetectorConfig, Partition
@@ -75,7 +75,7 @@ class TestDetectBehavior:
         series = random_series(n=30, L=1, seed=25)
         config = DetectorConfig(p=1, L=1, gamma=1e9, delta=5)
         result = detect(series, config)
-        fit = interval_loss(series, 1, 30, config)
+        fit = IntervalLossEngine(series, config).fit(1, 30)
         assert result.objective == pytest.approx(fit.loss + config.gamma, rel=1e-12)
 
     def test_short_series_warns_instead_of_failing(self):
@@ -126,7 +126,7 @@ class TestDpTable:
             starts = np.arange(1, e - config.delta + 2)
             _, rss = engine.fit_column(e, starts)
             for s, loss in zip(starts, rss.sum(axis=1)):
-                assert loss == interval_loss(series, int(s), e, config).loss
+                assert loss == IntervalLossEngine(series, config).fit(int(s), e).loss
 
     def test_bellman_feasibility(self):
         series = random_series(n=25, L=1, seed=72)
@@ -136,7 +136,7 @@ class TestDpTable:
         n = series.n
 
         def loss(s, e):
-            return interval_loss(series, s, e, config).loss
+            return IntervalLossEngine(series, config).fit(s, e).loss
 
         for e in range(config.delta, n + 1):
             for s in range(1, e - config.delta + 2):
