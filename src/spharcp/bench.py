@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from spharcp.errors import ConfigError
 from spharcp.evaluate import BenchRecord, assign_to_truth, hausdorff_scaled
-from spharcp.segment import detect
+from spharcp.segment import detect, detect_gammas
 from spharcp.simulate import (
     DEFAULT_BURN_IN,
     ScenarioSpec,
@@ -129,16 +129,19 @@ def run_tuning_replicate(
 ) -> dict[tuple[float, float], BenchRecord]:
     """One replicate of the tuning sweep: a single simulated series,
     detected under every (lambda, gamma) combination.
+
+    Each lambda runs one ``detect_gammas`` pass that serves every gamma;
+    a record's runtime is the wall time of that shared pass.
     """
     spec = make_scenario("tuning-grid", q, d, seed)
     series = simulate(spec)
     out: dict[tuple[float, float], BenchRecord] = {}
     for lam in lams:
-        for gamma in gammas:
-            cfg = DetectorConfig(p=spec.p, L=spec.L, lam=lam, gamma=gamma, delta=delta)
-            start = time.perf_counter()
-            result = detect(series, cfg)
-            runtime = time.perf_counter() - start
+        cfg = DetectorConfig(p=spec.p, L=spec.L, lam=lam, delta=delta)
+        start = time.perf_counter()
+        results = detect_gammas(series, cfg, gammas)
+        runtime = time.perf_counter() - start
+        for gamma, result in zip(gammas, results):
             out[(lam, gamma)] = _record(
                 "tuning-grid", spec, result.change_points, runtime
             )
@@ -155,9 +158,16 @@ def run_tuning_grid(
     delta: int = 5,
     threads: int | None = None,
 ) -> dict[tuple[float, float], list[BenchRecord]]:
-    """Tuning sweep over (lambda, gamma) on a fixed replicate set."""
+    """Tuning sweep over (lambda, gamma) on a fixed replicate set.
+
+    A repeated lambda or gamma would collapse two settings into one
+    result key, so it is a ``ConfigError``.
+    """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
+    for name, values in (("lambda", lams), ("gamma", gammas)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"repeated {name} value in the sweep {tuple(values)}")
     jobs = [(q, d, base_seed + r, tuple(lams), tuple(gammas), delta) for r in range(reps)]
     per_rep = _map(run_tuning_replicate, jobs, threads)
     return {

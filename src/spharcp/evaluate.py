@@ -60,7 +60,12 @@ def assign_and_average(est, truth, n: int) -> tuple[float | None, ...]:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """Outcome of one benchmark replicate."""
+    """Outcome of one benchmark replicate.
+
+    ``runtime`` is the wall time of the detection in seconds. In a tuning
+    sweep one ``detect_gammas`` pass per lambda serves every gamma, so the
+    records of that pass share its wall time.
+    """
 
     scenario: str
     seed: int

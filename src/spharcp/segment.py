@@ -3,12 +3,18 @@
 Solves min over partitions of sum_I loss(I) + gamma * |partition|, with
 every segment at least ``delta`` timestamps long, via the Bellman
 recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
+
+The interval losses do not depend on gamma, so ``detect_gammas`` runs
+one recursion for a whole tuple of penalties: each segment end's loss
+column is fitted once and updates one Bellman row per gamma.
+``detect`` is that recursion at the single gamma of its config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,36 +82,76 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
         (n < 2 delta), the single-segment partition is returned with a
         warning instead of failing.
     """
+    return detect_gammas(series, config, (config.gamma,))[0]
+
+
+def detect_gammas(
+    series: CoefficientSeries, config: DetectorConfig, gammas: Sequence[float]
+) -> tuple[DetectionResult, ...]:
+    """``detect`` at every segment penalty in ``gammas`` from one loss pass.
+
+    The interval losses do not depend on gamma, so each segment end's
+    loss column is fitted once and feeds one Bellman row per gamma. Result
+    g equals ``detect(series, replace(config, gamma=gammas[g]))``, bit for
+    bit; its ``config`` is that replaced config, so every gamma is
+    validated by ``DetectorConfig``.
+    """
+    configs = tuple(replace(config, gamma=g) for g in gammas)
+    if not configs:
+        return ()
     n = series.n
     delta = config.delta
     engine = IntervalLossEngine(series, config)
 
     if n < 2 * delta:
         fit = engine.fit(1, n)
-        return DetectionResult(
-            partition=Partition(n=n, change_points=()),
-            fits=(fit,),
-            objective=fit.loss + config.gamma,
-            config=config,
-            warning=f"series length {n} < 2*delta = {2 * delta}; "
-            "returned the single-segment partition",
+        return tuple(
+            DetectionResult(
+                partition=Partition(n=n, change_points=()),
+                fits=(fit,),
+                objective=fit.loss + cfg.gamma,
+                config=cfg,
+                warning=f"series length {n} < 2*delta = {2 * delta}; "
+                "returned the single-segment partition",
+            )
+            for cfg in configs
         )
 
-    best = np.full(n + 1, math.inf)
-    best[0] = 0.0
-    nseg = np.zeros(n + 1, dtype=int)
-    back = np.full(n + 1, -1, dtype=int)
+    shape = (len(configs), n + 1)
+    best = np.full(shape, math.inf)
+    best[:, 0] = 0.0
+    nseg = np.zeros(shape, dtype=int)
+    back = np.full(shape, -1, dtype=int)
 
+    rows = tuple(zip(best, nseg, back, (cfg.gamma for cfg in configs)))
     for e in range(delta, n + 1):
-        s = np.flatnonzero(np.isfinite(best[: e - delta + 1])) + 1
+        # Which prefixes admit a partition depends on delta, not on gamma.
+        s = np.flatnonzero(np.isfinite(best[0][: e - delta + 1])) + 1
         _, rss = engine.fit_column(e, s)
-        cost = best[s - 1] + rss.sum(axis=1) + config.gamma
-        cand_nseg = nseg[s - 1] + 1
-        i = np.lexsort((-s, cand_nseg, cost))[0]
-        best[e] = cost[i]
-        nseg[e] = cand_nseg[i]
-        back[e] = s[i]
+        loss = rss.sum(axis=1)
+        for row_best, row_nseg, row_back, gamma in rows:
+            cost = row_best[s - 1] + loss + gamma
+            cand_nseg = row_nseg[s - 1] + 1
+            i = np.lexsort((-s, cand_nseg, cost))[0]
+            row_best[e] = cost[i]
+            row_nseg[e] = cand_nseg[i]
+            row_back[e] = s[i]
 
+    return tuple(
+        _traceback(engine, cfg, best[g], back[g], nseg[g])
+        for g, cfg in enumerate(configs)
+    )
+
+
+def _traceback(
+    engine: IntervalLossEngine,
+    config: DetectorConfig,
+    best: np.ndarray,
+    back: np.ndarray,
+    nseg: np.ndarray,
+) -> DetectionResult:
+    """Read the optimal partition off one Bellman row and fit its segments."""
+    n = len(best) - 1
     starts: list[int] = []
     e = n
     while e > 0:

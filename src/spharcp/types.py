@@ -7,6 +7,7 @@ row ``t - 1`` of the data matrix holds timestamp ``t``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,7 +216,7 @@ class DetectorConfig:
         L1 penalty level; a scalar applies to every multipole, a
         sequence gives one value per multipole. All entries >= 0.
     gamma : float
-        Per-segment penalty of the partition objective, >= 0.
+        Per-segment penalty of the partition objective, finite and >= 0.
     delta : int
         Minimum admissible segment length, >= p + 1. Default 5.
     """
@@ -232,8 +233,8 @@ class DetectorConfig:
             raise ConfigError("p must be between 1 and 5")
         if self.L < 1:
             raise ConfigError("L must be >= 1")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError("gamma must be finite and >= 0")
         if self.delta < self.p + 1:
             raise ConfigError(f"delta must be >= p + 1 = {self.p + 1}")
         lam = np.asarray(self.lam, dtype=float)

@@ -2,8 +2,17 @@
 
 import pytest
 
-from spharcp.bench import THREADS_ENV_VAR, make_scenario, resolve_threads, run_bench
+from spharcp.bench import (
+    THREADS_ENV_VAR,
+    make_scenario,
+    resolve_threads,
+    run_bench,
+    run_tuning_grid,
+    run_tuning_replicate,
+)
 from spharcp.errors import ConfigError
+from spharcp.segment import detect
+from spharcp.simulate import simulate
 from spharcp.types import DetectorConfig
 
 
@@ -48,3 +57,21 @@ def test_replicate_seeds_offset_from_base():
     assert [r.seed for r in records] == [40, 41]
     assert all(r.true_cps == (100,) for r in records)
     assert all(r.runtime > 0 for r in records)
+
+
+def test_tuning_replicate_matches_a_detect_per_setting():
+    lams, gammas = (1.0, 0.0), (300.0, 10.0, 1e5)
+    records = run_tuning_replicate(8, 2, 5, lams, gammas, delta=5)
+    assert list(records) == [(lam, gamma) for lam in lams for gamma in gammas]
+    spec = make_scenario("tuning-grid", 8, 2, 5)
+    series = simulate(spec)
+    for (lam, gamma), record in records.items():
+        config = DetectorConfig(p=spec.p, L=spec.L, lam=lam, gamma=gamma, delta=5)
+        assert record.est_cps == detect(series, config).change_points
+    assert len({r.est_cps for r in records.values()}) > 1
+
+
+@pytest.mark.parametrize("lams, gammas", [((0.0, 0.0), (100.0,)), ((0.0,), (100.0, 100.0))])
+def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
+    with pytest.raises(ConfigError, match="repeated"):
+        run_tuning_grid(8, 2, reps=1, base_seed=1, lams=lams, gammas=gammas, threads=1)

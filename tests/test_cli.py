@@ -95,8 +95,9 @@ def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"]],
-    ids=["delta-1", "lambda-negative", "L-too-large", "p-above-cap"],
+    [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"],
+     ["--gamma", "nan"], ["--gamma", "inf"]],
+    ids=["delta-1", "lambda-negative", "L-too-large", "p-above-cap", "gamma-nan", "gamma-inf"],
 )
 def test_detect_bad_setting_exits_2_with_one_error_line(tmp_path, tiny_config, capsys, flags):
     coeffs = tmp_path / "coeffs.csv"
@@ -387,3 +388,17 @@ def test_bench_tuning_grid_outputs(tmp_path):
     locations = (out_dir / "locations.csv").read_text().splitlines()
     assert locations[1] == "lambda,gamma,replicate,seed,k_hat,eta_hat,rho_hat"
     assert (out_dir / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [["--sweep-gamma", "200,200"], ["--sweep-lambda", "0,1,0"], ["--sweep-gamma", "nan"]],
+    ids=["gamma-repeated", "lambda-repeated", "gamma-nan"],
+)
+def test_bench_tuning_grid_bad_sweep_exits_2(tmp_path, capsys, sweep):
+    out_dir = tmp_path / "tuning"
+    argv = ["bench", "tuning-grid", "--out", str(out_dir), "--reps", "1", "--threads", "1"]
+    assert main(argv + sweep) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out_dir / "records.json").exists()

@@ -14,6 +14,7 @@ from spharcp.diagnostics import (
     stability_measures,
     theory_tuning_bounds,
 )
+from spharcp.errors import ConfigError
 from spharcp.types import (
     ArCoefficients,
     CoefficientSeries,
@@ -107,6 +108,11 @@ class TestDetectorConfig:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             DetectorConfig(p=1, L=1, gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigError, match="gamma must be finite and >= 0"):
+            DetectorConfig(p=1, L=1, gamma=gamma)
 
 
 class TestCausality:

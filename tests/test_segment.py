@@ -1,12 +1,13 @@
 """Exact dynamic programming segmentation against brute-force enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spharcp.estimate import IntervalLossEngine
-from spharcp.segment import detect, objective_of
+from spharcp.segment import detect, detect_gammas, objective_of
 from spharcp.simulate import scenario_table1, simulate
 from spharcp.types import CoefficientSeries, DetectorConfig, Partition
 
@@ -115,6 +116,40 @@ class TestDetectBehavior:
         config = DetectorConfig(p=1, L=1, gamma=0.0, delta=7)
         result = detect(series, config)
         assert all(e - s + 1 >= 7 for s, e in result.partition.segments())
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("n", [40, 8], ids=["full-dp", "shorter-than-2-delta"])
+def test_detect_gammas_matches_detect_bitwise(p, lam, n):
+    series = random_series(n=n, L=2, seed=61 + p)
+    config = DetectorConfig(p=p, L=2, lam=lam, gamma=1.0, delta=5)
+    gammas = (20.0, 0.0, 1e12, 3.0)
+    results = detect_gammas(series, config, gammas)
+    assert len(results) == len(gammas)
+    for gamma, got in zip(gammas, results):
+        want = detect(series, replace(config, gamma=gamma))
+        assert got.config.gamma == gamma
+        assert got.change_points == want.change_points
+        assert got.objective == want.objective
+        assert got.warning == want.warning
+        assert (got.dp is None) == (want.dp is None)
+        if want.dp is not None:
+            assert np.array_equal(got.dp.best_cost, want.dp.best_cost)
+            assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
+            assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
+        assert len(got.fits) == len(want.fits)
+        for a, b in zip(got.fits, want.fits):
+            assert np.array_equal(a.phi, b.phi) and np.array_equal(a.rss, b.rss)
+    assert len({r.change_points for r in results}) > 1 or n == 8
+
+
+def test_detect_gammas_validates_every_gamma():
+    series = random_series(n=20, L=1, seed=4)
+    config = DetectorConfig(p=1, L=1, gamma=1.0, delta=5)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            detect_gammas(series, config, (1.0, bad))
 
 
 class TestDpTable:
