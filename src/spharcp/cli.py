@@ -222,7 +222,6 @@ def cmd_bench(args) -> int:
             f"unknown scenario {args.scenario!r}; expected one of {SCENARIO_IDS}"
         )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
     config_echo = {
@@ -247,7 +246,6 @@ def cmd_bench(args) -> int:
             _summary_row(args.scenario, lam, gamma, args.delta, records)
             for (lam, gamma), records in grouped.items()
         ]
-        sio.write_locations_csv(out_dir / "locations.csv", config_echo, grouped)
     else:
         lam = args.lam
         config_echo["lambda"] = lam if np.ndim(lam) == 0 else list(lam)
@@ -262,6 +260,10 @@ def cmd_bench(args) -> int:
         grouped = {(lam, args.gamma): records}
         rows = [_summary_row(args.scenario, lam, args.gamma, args.delta, records)]
 
+    # Created only now, so a rejected setting leaves no directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.scenario == "tuning-grid":
+        sio.write_locations_csv(out_dir / "locations.csv", config_echo, grouped)
     sio.write_bench_records(out_dir / "records.json", config_echo, grouped)
     sio.write_aggregate_csv(out_dir / "aggregate.csv", config_echo, rows)
     elapsed = time.perf_counter() - started

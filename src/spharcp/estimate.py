@@ -6,7 +6,11 @@ penalty appears only inside the inner minimization: the reported loss is
 the unpenalized residual sum at the penalized estimate.
 
 All interval computations reduce to per-timestamp cross products summed
-over m, so a fit touches exactly the data inside its interval.
+over m, so a fit touches exactly the data inside its interval. The
+dynamic program asks for the losses of a block of consecutive segment
+ends at once (``IntervalLossEngine.fit_block``): one cumulative sum over
+the time-reversed products gives the moments of every interval in the
+block, and one exact LASSO solve fits them all.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spharcp.errors import DegenerateFitError
 from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
@@ -63,39 +68,44 @@ def soft_threshold(x, thr):
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
-def _lasso_solve(gram: np.ndarray, corr: np.ndarray, thr: np.ndarray) -> np.ndarray:
+def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
     """Exact minimizer of phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
-    Solves R independent problems: ``gram`` (R, p, p), ``corr`` (R, p) and
-    ``thr`` (R,) give (R, p). Some minimizer has a nonsingular active Gram
-    block (Tibshirani 2013, "The lasso problem and uniqueness"), so the
-    minimum is among the candidates that solve G_AA x = corr_A - thr sigma
-    with sign(x) = sigma, over every support A and sign vector sigma on A;
-    such a candidate has objective -x'(corr_A - thr sigma). G_AA is factored
-    by a square-root-free LDL' whose pivots must all be > 0. The least
-    candidate objective wins, by strict <, from phi = 0 at objective 0.
-    Every step is elementwise in a fixed order, so each row is bitwise the
-    row solved alone; at p = 1 this is soft(corr, thr) / G.
+    Solves independent problems laid out coordinate-major: ``gram[j][k]``
+    and ``corr[j]`` are arrays of one row shape (a (p, p, ...) and a
+    (p, ...) array, or lists of such arrays), ``thr`` broadcasts to that
+    shape, and phi comes back as (p, ...). Some minimizer has a
+    nonsingular active Gram block (Tibshirani 2013, "The lasso problem and
+    uniqueness"), so the minimum is among the candidates that solve
+    G_AA x = corr_A - thr sigma with sign(x) = sigma, over every support A
+    and sign vector sigma on A; such a candidate has objective
+    -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
+    whose pivots must all be > 0. The least candidate objective wins, by
+    strict <, from phi = 0 at objective 0. Every step is elementwise in a
+    fixed order, so each row is bitwise the row solved alone; at p = 1
+    this is soft(corr, thr) / G.
     """
-    R, p = corr.shape
-    phi = np.zeros((p, R))
-    best = np.zeros(R)
+    p = len(corr)
+    shape = np.shape(corr[0])
+    phi = np.zeros((p,) + shape)
+    best = np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, p + 1):
-            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))[:, :, None]
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+            signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):
                 d, low = [], {}
                 for j in range(k):
                     for i in range(j, k):
-                        v = gram[:, A[i], A[j]]
+                        v = gram[A[i]][A[j]]
                         for m in range(j):
                             v = v - low[i, m] * low[j, m] * d[m]
                         if i == j:
                             d.append(v)
                         else:
                             low[i, j] = v / d[j]
-                # every sign vector at once: b, z and x are (2^k, R) per coordinate
-                b = [corr[:, a] - thr * signs[:, j] for j, a in enumerate(A)]
+                # every sign vector at once: b, z and x are (2^k, ...) per coordinate
+                b = [corr[a] - thr * signs[:, j] for j, a in enumerate(A)]
                 z = []
                 for j in range(k):
                     v = b[j]
@@ -120,7 +130,7 @@ def _lasso_solve(gram: np.ndarray, corr: np.ndarray, thr: np.ndarray) -> np.ndar
                     np.copyto(phi, 0.0, where=better)
                     for j, a in enumerate(A):
                         np.copyto(phi[a], x[j][i], where=better)
-    return phi.T
+    return phi
 
 
 @dataclass(frozen=True)
@@ -139,14 +149,22 @@ class IntervalFit:
     n_eff: int
 
 
+# Solver rows per block call, counting each (interval, multipole) row once
+# per sign vector of a full support (2^p): a block of segment ends holds at
+# most this many, so its working set stays bounded whatever n.
+_BLOCK_ROWS = 16384
+
+
 class IntervalLossEngine:
     """Fits intervals of one series under one config, reusing shared products.
 
-    Construction precomputes the per-timestamp cross products once;
-    ``fit_column(e, starts)`` then reduces to one suffix sum plus one
-    batched exact LASSO solve over every (s, ell), and ``fit(s, e)``
-    is the column of the single start s. Instances are immutable after
-    construction and safe to share across threads.
+    Construction precomputes the per-timestamp cross products once, in one
+    copy reversed in time with time innermost. ``fit_block`` then fits
+    every interval of a block of segment ends with one cumulative sum and
+    one exact LASSO solve, and ``fit(s, e)`` is its one-end, one-start
+    case. ``block`` is the most ends one call takes, sized from
+    ``_BLOCK_ROWS``. Instances are immutable after construction and safe
+    to share across threads.
     """
 
     def __init__(self, series: CoefficientSeries, config: DetectorConfig):
@@ -154,56 +172,63 @@ class IntervalLossEngine:
             raise ValueError(f"config.L={config.L} exceeds series L={series.L}")
         self.series = series
         self.config = config
-        self._prod = per_time_products(series, config.p, config.L)
-        self._widths = 2.0 * np.arange(config.L) + 1.0
+        n, L = series.n, config.L
+        self.block = max(1, _BLOCK_ROWS // (L * n << config.p))
+        prod = per_time_products(series, config.p, L)
+        # column j holds time n - j; the NaN tail lets every window of a block fit
+        self._rev = np.full((prod.shape[2], L, n + self.block - 1), np.nan)
+        self._rev[:, :, :n] = prod.transpose(2, 1, 0)[:, :, ::-1]
+        widths = 2.0 * np.arange(L) + 1.0
+        n_eff = np.arange(1, n + 1)
+        self._thr = config.lam_per_ell[:, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
         self._c_idx, self._g_idx = _moment_indices(config.p)
 
-    def fit_column(self, e: int, starts) -> tuple[np.ndarray, np.ndarray]:
-        """Fit every interval [s, e] for s in ``starts`` at once.
+    def fit_block(self, e0: int, e1: int, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fit every interval [e - m, e] for e0 <= e <= e1 and m0 <= m <= m1.
 
-        Returns ``phi`` (S, L, p) and ``rss`` (S, L). The moments of [s, e]
+        Returns ``phi`` (B, M, L, p) and ``rss`` (B, M, L), indexed by
+        [e - e0, m - m0], for B = e1 - e0 + 1 <= ``block`` ends. Where
+        e - m < 1 (only for e < e1) the interval starts before the series
+        and its ``rss`` is NaN. The moments of [s, e]
         are a suffix sum of the product rows t = s+p..e, accumulated from
-        t = e down, so each fit reads only the data in [s, e] and is bitwise
-        the same whichever other starts share the column.
+        t = e down, so each fit reads only the data in [s, e] and is
+        bitwise the same whichever block computes it.
         """
-        cfg = self.config
-        p, L = cfg.p, cfg.L
+        p, L = self.config.p, self.config.L
         n = self.series.n
-        starts = np.asarray(starts, dtype=int)
-        bad = starts[(starts < 1) | (e > n) | (e - starts < p)]
-        if bad.size:
-            s = int(bad[0])
-            if not 1 <= s <= e <= n:
-                raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
-            raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
-        lo = int(starts.min())
-        suffix = np.cumsum(self._prod[lo + p - 1 : e][::-1], axis=0)[::-1]
-        moments = suffix[starts - lo]  # (S, L, n_pairs)
-        syy = moments[:, :, 0]
-        corr = moments[:, :, self._c_idx]
-        gram = moments[:, :, self._g_idx]
-        n_eff = e - starts - p + 1
-        thr = cfg.lam_per_ell * np.sqrt(n_eff[:, None] * self._widths) / 2.0
-        S = starts.size
-        phi = _lasso_solve(
-            gram.reshape(S * L, p, p), corr.reshape(S * L, p), thr.reshape(S * L)
-        ).reshape(S, L, p)
-        cross = np.zeros((S, L))
-        quad = np.zeros((S, L))
+        if not (1 <= e0 <= e1 <= n and 1 <= e1 - m1 and 0 <= m0 <= m1):
+            raise ValueError(f"interval [{e1 - m1}, {e1}] outside 1..{n}")
+        if m0 < p:
+            raise ValueError(f"interval [{e0 - m0}, {e0}] too short to fit AR({p})")
+        if e1 - e0 >= self.block:
+            raise ValueError(f"block of {e1 - e0 + 1} ends exceeds {self.block}")
+        # window b starts at time e0 + b and runs back in time
+        windows = sliding_window_view(self._rev, m1 - p + 1, axis=-1)
+        windows = windows[:, :, n - e1 : n - e0 + 1][:, :, ::-1]
+        moments = np.cumsum(windows, axis=-1)[..., m0 - p :]
+        syy = moments[0]
+        corr = [moments[c] for c in self._c_idx]
+        gram = [[moments[g] for g in row] for row in self._g_idx]
+        thr = self._thr[:, None, m0 - p : m1 - p + 1]
+        phi = _lasso_solve(gram, corr, thr)
+        cross = np.zeros(syy.shape)
+        quad = np.zeros(syy.shape)
         for j in range(p):
-            cross += corr[:, :, j] * phi[:, :, j]
+            cross += corr[j] * phi[j]
             for k in range(p):
-                quad += phi[:, :, j] * gram[:, :, j, k] * phi[:, :, k]
-        rss = np.maximum(syy - 2.0 * cross + quad, 0.0)
-        return phi, rss
+                quad += phi[j] * gram[j][k] * phi[k]
+        # multipole innermost, so a loss sums rss in the order of rss.sum()
+        rss = np.empty(syy.shape[1:] + (L,))
+        np.maximum(syy - 2.0 * cross + quad, 0.0, out=rss.transpose(2, 0, 1))
+        return phi.transpose(2, 3, 1, 0), rss
 
     def fit(self, s: int, e: int) -> IntervalFit:
-        phi, rss = self.fit_column(e, [s])
+        phi, rss = self.fit_block(e, e, e - s, e - s)
         return IntervalFit(
             interval=(s, e),
-            phi=phi[0],
-            rss=rss[0],
-            loss=float(rss.sum(axis=1)[0]),
+            phi=phi[0, 0],
+            rss=rss[0, 0],
+            loss=float(rss[0, 0].sum()),
             n_eff=e - s - self.config.p + 1,
         )
 

@@ -4,10 +4,13 @@ Solves min over partitions of sum_I loss(I) + gamma * |partition|, with
 every segment at least ``delta`` timestamps long, via the Bellman
 recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 
-The interval losses do not depend on gamma, so ``detect_gammas`` runs
-one recursion for a whole tuple of penalties: each segment end's loss
-column is fitted once and updates one Bellman row per gamma.
-``detect`` is that recursion at the single gamma of its config.
+The recursion walks the segment ends in blocks: one
+``IntervalLossEngine.fit_block`` call fits every interval that ends in
+the block, and the Bellman update then runs end by end. The interval
+losses do not depend on gamma, so ``detect_gammas`` runs one recursion
+for a whole tuple of penalties: each block's losses are fitted once and
+update one Bellman row per gamma. ``detect`` is that recursion at the
+single gamma of its config.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     """Detect change points of a coefficient series.
 
     Runs the exact minimal-partitioning recursion over all segmentations
-    whose segments have length >= ``config.delta``. Each segment end e
-    fits every admissible [s, e] in one ``IntervalLossEngine.fit_column``
-    call. Ties are broken toward fewer segments, then toward the larger
-    start of the last segment. Deterministic for fixed inputs.
+    whose segments have length >= ``config.delta``. Each block of
+    segment ends fits every admissible [s, e] in one
+    ``IntervalLossEngine.fit_block`` call. Ties are broken toward fewer
+    segments, then toward the larger start of the last segment.
+    Deterministic for fixed inputs.
 
     Returns
     -------
@@ -90,8 +94,8 @@ def detect_gammas(
 ) -> tuple[DetectionResult, ...]:
     """``detect`` at every segment penalty in ``gammas`` from one loss pass.
 
-    The interval losses do not depend on gamma, so each segment end's
-    loss column is fitted once and feeds one Bellman row per gamma. Result
+    The interval losses do not depend on gamma, so each block of segment
+    ends is fitted once and feeds one Bellman row per gamma. Result
     g equals ``detect(series, replace(config, gamma=gammas[g]))``, bit for
     bit; its ``config`` is that replaced config, so every gamma is
     validated by ``DetectorConfig``.
@@ -124,18 +128,24 @@ def detect_gammas(
     back = np.full(shape, -1, dtype=int)
 
     rows = tuple(zip(best, nseg, back, (cfg.gamma for cfg in configs)))
-    for e in range(delta, n + 1):
-        # Which prefixes admit a partition depends on delta, not on gamma.
-        s = np.flatnonzero(np.isfinite(best[0][: e - delta + 1])) + 1
-        _, rss = engine.fit_column(e, s)
-        loss = rss.sum(axis=1)
-        for row_best, row_nseg, row_back, gamma in rows:
-            cost = row_best[s - 1] + loss + gamma
-            cand_nseg = row_nseg[s - 1] + 1
-            i = np.lexsort((-s, cand_nseg, cost))[0]
-            row_best[e] = cost[i]
-            row_nseg[e] = cand_nseg[i]
-            row_back[e] = s[i]
+    # The prefixes that admit a partition are 0 and delta.., so the
+    # admissible starts of e are 1 and delta+1..e-delta+1.
+    starts = np.concatenate(([1], np.arange(delta + 1, n - delta + 2)))
+    m0 = delta - 1
+    for e0 in range(delta, n + 1, engine.block):
+        e1 = min(e0 + engine.block - 1, n)
+        _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
+        losses = rss.sum(axis=-1)
+        for e, losses_e in zip(range(e0, e1 + 1), losses):
+            s = starts[: max(1, e - 2 * delta + 2)]
+            loss = losses_e[e - m0 - s]
+            for row_best, row_nseg, row_back, gamma in rows:
+                cost = row_best[s - 1] + loss + gamma
+                cand_nseg = row_nseg[s - 1] + 1
+                i = np.lexsort((-s, cand_nseg, cost))[0]
+                row_best[e] = cost[i]
+                row_nseg[e] = cand_nseg[i]
+                row_back[e] = s[i]
 
     return tuple(
         _traceback(engine, cfg, best[g], back[g], nseg[g])

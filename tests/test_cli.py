@@ -401,4 +401,4 @@ def test_bench_tuning_grid_bad_sweep_exits_2(tmp_path, capsys, sweep):
     assert main(argv + sweep) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out_dir / "records.json").exists()
+    assert not out_dir.exists()

@@ -81,7 +81,7 @@ class TestLassoFitInterval:
         x = rng.standard_normal((40, 3))
         x[:, 2] = x[:, 0] + 1e-3 * rng.standard_normal(40)
         y = rng.standard_normal(40)
-        phi = _lasso_solve((x.T @ x)[None], (x.T @ y)[None], np.zeros(1))[0]
+        phi = _lasso_solve((x.T @ x)[:, :, None], (x.T @ y)[:, None], np.zeros(1))[:, 0]
         _, (oracle,), _, _ = np.linalg.lstsq(x, y, rcond=None)
         assert float(((y - x @ phi) ** 2).sum()) == pytest.approx(oracle, rel=1e-12)
 
@@ -90,21 +90,23 @@ class TestLassoFitInterval:
         for p in (1, 2, 3):
             x = rng.standard_normal((30, 25, p))
             x[:10, :, -1] = x[:10, :, 0] + 1e-4 * rng.standard_normal((10, 25))
-            gram = np.einsum("rtj,rtk->rjk", x, x)
-            corr = np.einsum("rtj,rt->rj", x, rng.standard_normal((30, 25)))
-            gram[3, 0, 0] = 0.0
+            gram = np.einsum("rtj,rtk->jkr", x, x)
+            corr = np.einsum("rtj,rt->jr", x, rng.standard_normal((30, 25)))
+            gram[0, 0, 3] = 0.0
             thr = rng.uniform(0.0, 3.0, 30)
-            corr[4, 0], corr[5, 0] = thr[4], -thr[5]
+            corr[0, 4], corr[0, 5] = thr[4], -thr[5]
             batch = _lasso_solve(gram, corr, thr)
             for r in range(30):
-                alone = _lasso_solve(gram[r : r + 1], corr[r : r + 1], thr[r : r + 1])
-                assert np.array_equal(batch[r], alone[0])
-            assert batch[3, 0] == 0.0
+                alone = _lasso_solve(gram[:, :, r : r + 1], corr[:, r : r + 1], thr[r : r + 1])
+                assert np.array_equal(batch[:, r], alone[:, 0])
+            grid = _lasso_solve(gram.reshape(p, p, 5, 6), corr.reshape(p, 5, 6), thr.reshape(5, 6))
+            assert np.array_equal(grid.reshape(p, 30), batch)
+            assert batch[0, 3] == 0.0
             if p == 1:
-                g = gram[:, 0, 0]
-                soft = np.divide(soft_threshold(corr[:, 0], thr), g, out=np.zeros(30), where=g > 0)
-                assert np.array_equal(batch[:, 0], soft)
-                assert batch[4, 0] == batch[5, 0] == 0.0
+                g = gram[0, 0]
+                soft = np.divide(soft_threshold(corr[0], thr), g, out=np.zeros(30), where=g > 0)
+                assert np.array_equal(batch[0], soft)
+                assert batch[0, 4] == batch[0, 5] == 0.0
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)

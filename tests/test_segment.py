@@ -1,6 +1,7 @@
 """Exact dynamic programming segmentation against brute-force enumeration."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -152,16 +153,84 @@ def test_detect_gammas_validates_every_gamma():
             detect_gammas(series, config, (1.0, bad))
 
 
+def fresh_bellman(series, config):
+    """Bellman table from single-interval fits in plain Python loops.
+
+    Ties go to fewer segments, then to the larger start, as in ``detect``.
+    """
+    ref = IntervalLossEngine(series, config)
+    n, delta = series.n, config.delta
+    best, nseg, back = [0.0] + [math.inf] * n, [0] * (n + 1), [-1] * (n + 1)
+    for e in range(delta, n + 1):
+        cands = [
+            (best[s - 1] + ref.fit(s, e).loss + config.gamma, nseg[s - 1] + 1, -s)
+            for s in range(1, e - delta + 2)
+            if math.isfinite(best[s - 1])
+        ]
+        best[e], nseg[e], minus_s = min(cands)
+        back[e] = -minus_s
+    return best, nseg, back
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("L", [3, 10])
+@pytest.mark.parametrize("n", [60, 9], ids=["partial-last-block", "shorter-than-2-delta"])
+def test_block_dp_matches_fresh_single_interval_fits(p, L, n):
+    # L >= 8 sums rss over multipoles in numpy's pairwise order
+    series = random_series(n=n, L=L, seed=80 + p)
+    config = DetectorConfig(p=p, L=L, lam=0.3, gamma=40.0, delta=5)
+    result = detect(series, config)
+    ref = IntervalLossEngine(series, config)
+    if n < 2 * config.delta:
+        fit = ref.fit(1, n)
+        assert result.dp is None and result.warning is not None
+        assert result.objective == fit.loss + config.gamma
+    else:
+        block = IntervalLossEngine(series, config).block
+        n_ends = n - config.delta + 1
+        assert block < n_ends and n_ends % block != 0
+        best, nseg, back = fresh_bellman(series, config)
+        assert result.dp.best_cost.tolist() == best
+        assert result.dp.n_segments.tolist() == nseg
+        assert result.dp.back_pointer.tolist() == back
+        assert result.objective == best[n]
+    for got in result.fits:
+        want = ref.fit(*got.interval)
+        assert np.array_equal(got.phi, want.phi) and np.array_equal(got.rss, want.rss)
+
+
+def test_detect_peak_memory_grows_at_most_linearly_in_n():
+    # A block of segment ends holds a bounded number of interval rows, so
+    # doubling n at most doubles the peak (the products); holding the whole
+    # interval triangle would quadruple it.
+    peaks = []
+    for n in (150, 300):
+        series = random_series(n=n, L=16, seed=90)
+        config = DetectorConfig(p=1, L=16, gamma=300.0, delta=5)
+        tracemalloc.start()
+        try:
+            detect(series, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 class TestDpTable:
     def test_column_losses_match_fresh_recomputation(self):
         series = random_series(n=25, L=2, seed=71)
         config = DetectorConfig(p=1, L=2, lam=0.4, gamma=1.0, delta=4)
         engine = IntervalLossEngine(series, config)
-        for e in range(config.delta, series.n + 1):
-            starts = np.arange(1, e - config.delta + 2)
-            _, rss = engine.fit_column(e, starts)
-            for s, loss in zip(starts, rss.sum(axis=1)):
-                assert loss == IntervalLossEngine(series, config).fit(int(s), e).loss
+        m0 = config.delta - 1
+        for e0 in range(config.delta, series.n + 1, engine.block):
+            e1 = min(e0 + engine.block - 1, series.n)
+            _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
+            for e, losses in zip(range(e0, e1 + 1), rss.sum(axis=-1)):
+                for m in range(m0, e):
+                    fresh = IntervalLossEngine(series, config).fit(e - m, e)
+                    assert losses[m - m0] == fresh.loss
+                # spans reaching before t = 1 come back as NaN
+                assert np.isnan(losses[e - m0 :]).all()
 
     def test_bellman_feasibility(self):
         series = random_series(n=25, L=1, seed=72)
