@@ -15,39 +15,30 @@ EPS_ROOT = 1e-9
 DEFAULT_GRID = 4096
 
 
-def ar_char_roots(phi: np.ndarray) -> np.ndarray:
-    """Roots of 1 - phi_1 z - ... - phi_p z^p (empty for an all-zero vector)."""
-    phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        raise ValueError("phi contains non-finite entries")
-    # np.roots builds the companion matrix of the reversed polynomial and
-    # trims exactly-zero leading coefficients, so trailing zero lags do
-    # not change the root set. Near-zero leading coefficients would
-    # overflow the companion matrix while only contributing roots of
-    # modulus >= ~(1e30)^(1/p) >> 1; drop them too.
-    coeffs = np.concatenate(([1.0], -phi))[::-1]
-    tiny = 1e-30 * np.abs(coeffs).max()
-    start = 0
-    while start < len(coeffs) - 1 and abs(coeffs[start]) <= tiny:
-        start += 1
-    return np.roots(coeffs[start:])
-
-
 def is_causal(phi: np.ndarray) -> bool:
-    """True iff all characteristic roots have modulus > 1 + EPS_ROOT."""
-    roots = ar_char_roots(phi)
-    if roots.size == 0:
-        return True
-    return bool((np.abs(roots) > 1.0 + EPS_ROOT).all())
+    """True iff all characteristic roots have modulus > 1 + EPS_ROOT.
+
+    Non-finite entries raise ValueError (from ``ArCoefficients``).
+    """
+    phi = np.asarray(phi, dtype=float)
+    return bool(check_causality(ArCoefficients(p=phi.size, phi=phi[None, :]))[0])
 
 
 def check_causality(coeffs: ArCoefficients) -> np.ndarray:
     """Per-multipole causality flags for a set of AR coefficient vectors.
 
-    Multipole ell passes iff every root of its characteristic polynomial
-    lies outside the unit circle by more than the EPS_ROOT margin.
+    Multipole ell passes iff every root of 1 - phi_1 z - ... - phi_p z^p
+    lies outside the unit circle by more than the EPS_ROOT margin. The
+    roots are the reciprocals of the eigenvalues of the companion matrix
+    [phi; I 0], so all multipoles take one batched eigenvalue call, and
+    zero lags only add zero eigenvalues.
     """
-    return np.array([is_causal(coeffs.phi[ell]) for ell in range(coeffs.L)])
+    L, p = coeffs.phi.shape
+    companion = np.zeros((L, p, p))
+    companion[:, :1] = coeffs.phi[:, None]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    eig = np.linalg.eigvals(companion)
+    return (np.abs(eig) * (1.0 + EPS_ROOT) < 1.0).all(axis=1)
 
 
 def _char_poly_sq_modulus(phi: np.ndarray, nu: np.ndarray) -> np.ndarray:

@@ -81,16 +81,30 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
     and sign vector sigma on A; such a candidate has objective
     -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
     whose pivots must all be > 0. The least candidate objective wins, by
-    strict <, from phi = 0 at objective 0. Every step is elementwise in a
-    fixed order, so each row is bitwise the row solved alone; at p = 1
-    this is soft(corr, thr) / G.
+    strict <, from phi = 0 at objective 0. A one-coordinate support {a}
+    tries one sign only: x = (corr_a - thr sigma) / G_aa has sign sigma
+    only if corr_a > thr for sigma = +1 or corr_a < -thr for sigma = -1,
+    and with thr >= 0 at most one holds, for sigma = sign(corr_a). Every
+    step is elementwise in a fixed order, so each row is bitwise the row
+    solved alone; at p = 1 this is soft(corr, thr) / G.
     """
     p = len(corr)
     shape = np.shape(corr[0])
     phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, p + 1):
+        # k = 1: only sigma = sign(corr) can pass (see above)
+        for a in range(p):
+            g, c = gram[a][a], corr[a]
+            sigma = np.copysign(1.0, c)
+            b = c - thr * sigma
+            x = b / g
+            obj = np.where((g > 0.0) & (sigma * x > 0.0), 0.0 - x * b, np.inf)
+            better = obj < best
+            np.copyto(best, obj, where=better)
+            np.copyto(phi, 0.0, where=better)
+            np.copyto(phi[a], x, where=better)
+        for k in range(2, p + 1):
             signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
             signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):

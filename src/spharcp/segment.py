@@ -6,7 +6,10 @@ recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 
 The recursion walks the segment ends in blocks: one
 ``IntervalLossEngine.fit_block`` call fits every interval that ends in
-the block, and the Bellman update then runs end by end. The interval
+the block, and the Bellman update then runs end by end. Each update
+takes the ``argmin`` of the candidate costs and keeps it when that least
+cost is unique; an exact tie (or a NaN) is decided by a ``lexsort`` over
+cost, then fewer segments, then the larger start. The interval
 losses do not depend on gamma, so ``detect_gammas`` runs one recursion
 for a whole tuple of penalties: each block's losses are fitted once and
 update one Bellman row per gamma. ``detect`` is that recursion at the
@@ -75,9 +78,10 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     Runs the exact minimal-partitioning recursion over all segmentations
     whose segments have length >= ``config.delta``. Each block of
     segment ends fits every admissible [s, e] in one
-    ``IntervalLossEngine.fit_block`` call. Ties are broken toward fewer
-    segments, then toward the larger start of the last segment.
-    Deterministic for fixed inputs.
+    ``IntervalLossEngine.fit_block`` call. Ties in cost are broken toward
+    fewer segments, then toward the larger start of the last segment: a
+    unique least cost is taken by ``argmin`` and only an exact tie pays
+    for the full ``lexsort``. Deterministic for fixed inputs.
 
     Returns
     -------
@@ -138,13 +142,19 @@ def detect_gammas(
         losses = rss.sum(axis=-1)
         for e, losses_e in zip(range(e0, e1 + 1), losses):
             s = starts[: max(1, e - 2 * delta + 2)]
+            prev = s - 1
             loss = losses_e[e - m0 - s]
             for row_best, row_nseg, row_back, gamma in rows:
-                cost = row_best[s - 1] + loss + gamma
-                cand_nseg = row_nseg[s - 1] + 1
-                i = np.lexsort((-s, cand_nseg, cost))[0]
+                cost = row_best[prev]
+                cost += loss
+                cost += gamma
+                i = cost.argmin()
+                # a unique least cost wins outright; ties (and NaN) take
+                # the full order: cost, then fewer segments, then larger s
+                if np.count_nonzero(cost == cost[i]) != 1:
+                    i = np.lexsort((-s, row_nseg[prev] + 1, cost))[0]
                 row_best[e] = cost[i]
-                row_nseg[e] = cand_nseg[i]
+                row_nseg[e] = row_nseg[prev[i]] + 1
                 row_back[e] = s[i]
 
     return tuple(

@@ -1,5 +1,7 @@
 """LASSO interval fits, interval losses, and post-detection segment fits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,61 @@ from spharcp.estimate import (
 from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
 
 from conftest import ar1_series, dense_design, ols_fit, ols_rss, random_series, series_from_streams
+
+
+def enumerated_lasso_solve(gram, corr, thr):
+    """Reference exact solve that tries every sign vector on every support.
+
+    One-coordinate supports included, so it checks the single sign that
+    ``_lasso_solve`` tries there. Same square-root-free LDL', same
+    elementwise steps and same strict < as ``_lasso_solve``, on the same
+    coordinate-major layout: gram (p, p, R), corr (p, R).
+    """
+    p = len(corr)
+    shape = np.shape(corr[0])
+    phi = np.zeros((p,) + shape)
+    best = np.zeros(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, p + 1):
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+            signs = signs.reshape(signs.shape + (1,) * len(shape))
+            for A in itertools.combinations(range(p), k):
+                d, low = [], {}
+                for j in range(k):
+                    for i in range(j, k):
+                        v = gram[A[i]][A[j]]
+                        for m in range(j):
+                            v = v - low[i, m] * low[j, m] * d[m]
+                        if i == j:
+                            d.append(v)
+                        else:
+                            low[i, j] = v / d[j]
+                b = [corr[a] - thr * signs[:, j] for j, a in enumerate(A)]
+                z = []
+                for j in range(k):
+                    v = b[j]
+                    for m in range(j):
+                        v = v - low[j, m] * z[m]
+                    z.append(v)
+                x = [None] * k
+                for j in reversed(range(k)):
+                    v = z[j] / d[j]
+                    for i in range(j + 1, k):
+                        v = v - low[i, j] * x[i]
+                    x[j] = v
+                ok = np.logical_and.reduce([dj > 0.0 for dj in d])
+                obj = 0.0
+                for j in range(k):
+                    ok = ok & (signs[:, j] * x[j] > 0.0)
+                    obj = obj - x[j] * b[j]
+                obj = np.where(ok, obj, np.inf)
+                for i in range(len(signs)):
+                    better = obj[i] < best
+                    np.copyto(best, obj[i], where=better)
+                    np.copyto(phi, 0.0, where=better)
+                    for j, a in enumerate(A):
+                        np.copyto(phi[a], x[j][i], where=better)
+    return phi
 
 
 def penalty_scale(lam, s, e, ell, p):
@@ -107,6 +164,30 @@ class TestLassoFitInterval:
                 soft = np.divide(soft_threshold(corr[0], thr), g, out=np.zeros(30), where=g > 0)
                 assert np.array_equal(batch[0], soft)
                 assert batch[0, 4] == batch[0, 5] == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_solve_matches_both_sign_enumeration_bitwise(self, rng, p):
+        x = rng.standard_normal((40, 25, p))
+        # near-collinear first and last lags on rows 20..29
+        x[20:30, :, -1] = x[20:30, :, 0] + 1e-6 * rng.standard_normal((10, 25))
+        gram = np.einsum("rtj,rtk->jkr", x, x)
+        corr = np.einsum("rtj,rt->jr", x, rng.standard_normal((40, 25)))
+        thr = rng.uniform(0.0, 4.0, 40)
+        thr[6:9] = 0.0
+        corr[0, 0], corr[0, 1] = thr[0], -thr[1]
+        corr[0, 2], corr[0, 3] = 0.0, -0.0
+        corr[0, 6], corr[0, 7] = 0.0, -0.0
+        # a zero lag: g = 0 with corr beyond the threshold on either side
+        gram[0, :, 4:6] = gram[:, 0, 4:6] = 0.0
+        gram[0, :, 8] = gram[:, 0, 8] = 0.0
+        corr[0, 4], corr[0, 5], corr[0, 8] = thr[4] + 1.0, -thr[5] - 1.0, 2.0
+        got = _lasso_solve(gram, corr, thr)
+        want = enumerated_lasso_solve(gram, corr, thr)
+        assert np.array_equal(got, want)
+        assert np.isfinite(got).all()
+        assert (got[0, [4, 5, 8]] == 0.0).all()
+        if p == 1:  # soft(corr, thr) / g is 0 at |corr| <= thr
+            assert (got[0, :4] == 0.0).all() and (got[0, 6:8] == 0.0).all()
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)

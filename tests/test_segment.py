@@ -174,11 +174,28 @@ def fresh_bellman(series, config):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("L", [3, 10])
-@pytest.mark.parametrize("n", [60, 9], ids=["partial-last-block", "shorter-than-2-delta"])
-def test_block_dp_matches_fresh_single_interval_fits(p, L, n):
+@pytest.mark.parametrize(
+    "n, data",
+    [(60, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
+    ids=["partial-last-block", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
+)
+def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
     # L >= 8 sums rss over multipoles in numpy's pairwise order
     series = random_series(n=n, L=L, seed=80 + p)
-    config = DetectorConfig(p=p, L=L, lam=0.3, gamma=40.0, delta=5)
+    gamma = 40.0
+    if data != "random":
+        values = np.zeros((n, L * L))
+        if data == "spikes":
+            # Unit spikes at t = 20 and 24, closer than delta: a segment
+            # starting at either one drops it from the loss, so those two
+            # starts tie in cost and segment count and the larger one wins.
+            values[[19, 23]] = 1.0
+            gamma = L * L / 2
+        else:
+            # every cost is 0, so the fewest segments decide
+            gamma = 0.0
+        series = CoefficientSeries(n=n, L=L, data=values)
+    config = DetectorConfig(p=p, L=L, lam=0.3, gamma=gamma, delta=5)
     result = detect(series, config)
     ref = IntervalLossEngine(series, config)
     if n < 2 * config.delta:
