@@ -28,7 +28,7 @@ from spharcp.evaluate import (
     assign_to_truth,
     hausdorff_scaled,
 )
-from spharcp.segment import DetectionResult, DpTable, detect, detect_gammas, objective_of
+from spharcp.segment import DetectionResult, DpTable, detect, detect_grid, objective_of
 from spharcp.simulate import (
     ScenarioSpec,
     build_beta,
@@ -71,7 +71,7 @@ __all__ = [
     "check_causality",
     "coefficient_jump",
     "detect",
-    "detect_gammas",
+    "detect_grid",
     "fit_segment_with_intercept",
     "hausdorff_scaled",
     "jump_size",

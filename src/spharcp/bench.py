@@ -6,13 +6,14 @@ results are bit-reproducible regardless of worker count.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from spharcp.errors import ConfigError
 from spharcp.evaluate import BenchRecord, assign_to_truth, hausdorff_scaled
-from spharcp.segment import detect, detect_gammas
+from spharcp.segment import detect, detect_grid
 from spharcp.simulate import (
     DEFAULT_BURN_IN,
     ScenarioSpec,
@@ -130,22 +131,19 @@ def run_tuning_replicate(
     """One replicate of the tuning sweep: a single simulated series,
     detected under every (lambda, gamma) combination.
 
-    Each lambda runs one ``detect_gammas`` pass that serves every gamma;
-    a record's runtime is the wall time of that shared pass.
+    One ``detect_grid`` pass serves every (lambda, gamma); every record's
+    runtime is the wall time of that single pass.
     """
     spec = make_scenario("tuning-grid", q, d, seed)
     series = simulate(spec)
-    out: dict[tuple[float, float], BenchRecord] = {}
-    for lam in lams:
-        cfg = DetectorConfig(p=spec.p, L=spec.L, lam=lam, delta=delta)
-        start = time.perf_counter()
-        results = detect_gammas(series, cfg, gammas)
-        runtime = time.perf_counter() - start
-        for gamma, result in zip(gammas, results):
-            out[(lam, gamma)] = _record(
-                "tuning-grid", spec, result.change_points, runtime
-            )
-    return out
+    cfg = DetectorConfig(p=spec.p, L=spec.L, delta=delta)
+    start = time.perf_counter()
+    results = detect_grid(series, cfg, lams, gammas)
+    runtime = time.perf_counter() - start
+    return {
+        key: _record("tuning-grid", spec, result.change_points, runtime)
+        for key, result in zip(itertools.product(lams, gammas), results)
+    }
 
 
 def run_tuning_grid(

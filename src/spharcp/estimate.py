@@ -9,14 +9,17 @@ All interval computations reduce to per-timestamp cross products summed
 over m, so a fit touches exactly the data inside its interval. The
 dynamic program asks for the losses of a block of consecutive segment
 ends at once (``IntervalLossEngine.fit_block``): one cumulative sum over
-the time-reversed products gives the moments of every interval in the
-block, and one exact LASSO solve fits them all.
+a slice of one sliding-window view of the time-reversed products gives
+the moments of every interval in the block, and one exact LASSO solve
+fits them all at every penalty lambda of the engine, so a tuning sweep
+pays for the moments once per block whatever the number of lambdas.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,12 +76,13 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
 
     Solves independent problems laid out coordinate-major: ``gram[j][k]``
     and ``corr[j]`` are arrays of one row shape (a (p, p, ...) and a
-    (p, ...) array, or lists of such arrays), ``thr`` broadcasts to that
-    shape, and phi comes back as (p, ...). Some minimizer has a
-    nonsingular active Gram block (Tibshirani 2013, "The lasso problem and
-    uniqueness"), so the minimum is among the candidates that solve
-    G_AA x = corr_A - thr sigma with sign(x) = sigma, over every support A
-    and sign vector sigma on A; such a candidate has objective
+    (p, ...) array, or lists of such arrays), ``thr`` broadcasts with that
+    shape (a leading lambda axis solves every penalty at once, sharing the
+    LDL' factors), and phi comes back as (p,) + the broadcast shape. Some
+    minimizer has a nonsingular active Gram block (Tibshirani 2013, "The
+    lasso problem and uniqueness"), so the minimum is among the candidates
+    that solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
+    support A and sign vector sigma on A; such a candidate has objective
     -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
     whose pivots must all be > 0. The least candidate objective wins, by
     strict <, from phi = 0 at objective 0. A one-coordinate support {a}
@@ -89,7 +93,7 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
     solved alone; at p = 1 this is soft(corr, thr) / G.
     """
     p = len(corr)
-    shape = np.shape(corr[0])
+    shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
     phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -99,7 +103,10 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
             sigma = np.copysign(1.0, c)
             b = c - thr * sigma
             x = b / g
-            obj = np.where((g > 0.0) & (sigma * x > 0.0), 0.0 - x * b, np.inf)
+            ok = (g > 0.0) & (sigma * x > 0.0)
+            # obj = 0.0 - x b, accumulated in b's buffer
+            obj = np.subtract(0.0, np.multiply(x, b, out=b), out=b)
+            np.copyto(obj, np.inf, where=~ok)
             better = obj < best
             np.copyto(best, obj, where=better)
             np.copyto(phi, 0.0, where=better)
@@ -118,26 +125,28 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
                             d.append(v)
                         else:
                             low[i, j] = v / d[j]
-                # every sign vector at once: b, z and x are (2^k, ...) per coordinate
+                # every sign vector at once: b and x are (2^k, ...) per coordinate.
+                # x is solved in place, forward then back substitution, with one
+                # scratch array for the products: each step is the out-of-place
+                # one in the same order, so the bits are the same.
                 b = [corr[a] - thr * signs[:, j] for j, a in enumerate(A)]
-                z = []
+                x = [bj.copy() for bj in b]
+                tmp = np.empty_like(x[0])
                 for j in range(k):
-                    v = b[j]
                     for m in range(j):
-                        v = v - low[j, m] * z[m]
-                    z.append(v)
-                x = [None] * k
+                        np.subtract(x[j], np.multiply(low[j, m], x[m], out=tmp), out=x[j])
                 for j in reversed(range(k)):
-                    v = z[j] / d[j]
+                    np.divide(x[j], d[j], out=x[j])
                     for i in range(j + 1, k):
-                        v = v - low[i, j] * x[i]
-                    x[j] = v
+                        np.subtract(x[j], np.multiply(low[i, j], x[i], out=tmp), out=x[j])
                 ok = np.logical_and.reduce([dj > 0.0 for dj in d])
-                obj = 0.0
                 for j in range(k):
-                    ok = ok & (signs[:, j] * x[j] > 0.0)
-                    obj = obj - x[j] * b[j]
-                obj = np.where(ok, obj, np.inf)
+                    ok = ok & (np.multiply(signs[:, j], x[j], out=tmp) > 0.0)
+                # obj = 0.0 - x_0 b_0 - x_1 b_1 - ..., accumulated in b's buffers
+                obj = np.subtract(0.0, np.multiply(x[0], b[0], out=b[0]), out=b[0])
+                for j in range(1, k):
+                    np.subtract(obj, np.multiply(x[j], b[j], out=b[j]), out=obj)
+                np.copyto(obj, np.inf, where=~ok)
                 for i in range(len(signs)):
                     better = obj[i] < best
                     np.copyto(best, obj[i], where=better)
@@ -163,9 +172,13 @@ class IntervalFit:
     n_eff: int
 
 
-# Solver rows per block call, counting each (interval, multipole) row once
-# per sign vector of a full support (2^p): a block of segment ends holds at
-# most this many, so its working set stays bounded whatever n.
+# Solver rows per block call at one lambda, counting each (interval,
+# multipole) row once per sign vector of a full support (2^p): a block of
+# segment ends holds at most this many per lambda, so its working set stays
+# bounded whatever n. An engine with several lambdas holds that many times
+# the rows per call; counting them in the budget would shrink the tuning
+# sweep's blocks to one end, and the per-call overhead then costs more than
+# batching the lambdas saves.
 _BLOCK_ROWS = 16384
 
 
@@ -173,40 +186,56 @@ class IntervalLossEngine:
     """Fits intervals of one series under one config, reusing shared products.
 
     Construction precomputes the per-timestamp cross products once, in one
-    copy reversed in time with time innermost. ``fit_block`` then fits
-    every interval of a block of segment ends with one cumulative sum and
-    one exact LASSO solve, and ``fit(s, e)`` is its one-end, one-start
-    case. ``block`` is the most ends one call takes, sized from
-    ``_BLOCK_ROWS``. Instances are immutable after construction and safe
-    to share across threads.
+    copy reversed in time with time innermost, and one sliding-window view
+    of it that every block slices. The engine fits at every penalty in
+    ``lams`` (each a scalar or per-multipole ``lam`` of the config; by
+    default the config's own), so the products and moments serve them
+    all. ``fit_block`` fits every interval of a block of segment ends at
+    every lambda with one cumulative sum and one exact LASSO solve, and
+    ``fit(s, e, lam_index)`` is its one-end, one-start case. ``block`` is
+    the most ends one call takes, sized from ``_BLOCK_ROWS``. Instances are
+    immutable after construction and safe to share across threads.
     """
 
-    def __init__(self, series: CoefficientSeries, config: DetectorConfig):
+    def __init__(
+        self,
+        series: CoefficientSeries,
+        config: DetectorConfig,
+        lams: Sequence[float | Sequence[float]] | None = None,
+    ):
         if config.L > series.L:
             raise ValueError(f"config.L={config.L} exceeds series L={series.L}")
         self.series = series
         self.config = config
+        self.lams = (config.lam,) if lams is None else tuple(lams)
+        if not self.lams:
+            raise ValueError("lams must hold at least one penalty")
+        # each lambda is validated as the config's lam would be
+        lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
         n, L = series.n, config.L
         self.block = max(1, _BLOCK_ROWS // (L * n << config.p))
         prod = per_time_products(series, config.p, L)
         # column j holds time n - j; the NaN tail lets every window of a block fit
-        self._rev = np.full((prod.shape[2], L, n + self.block - 1), np.nan)
-        self._rev[:, :, :n] = prod.transpose(2, 1, 0)[:, :, ::-1]
+        rev = np.full((prod.shape[2], L, 2 * n), np.nan)
+        rev[:, :, :n] = prod.transpose(2, 1, 0)[:, :, ::-1]
+        # window j starts at time n - j and runs back in time
+        self._windows = sliding_window_view(rev, n, axis=-1)
         widths = 2.0 * np.arange(L) + 1.0
         n_eff = np.arange(1, n + 1)
-        self._thr = config.lam_per_ell[:, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
+        self._thr = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
         self._c_idx, self._g_idx = _moment_indices(config.p)
 
     def fit_block(self, e0: int, e1: int, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
         """Fit every interval [e - m, e] for e0 <= e <= e1 and m0 <= m <= m1.
 
-        Returns ``phi`` (B, M, L, p) and ``rss`` (B, M, L), indexed by
-        [e - e0, m - m0], for B = e1 - e0 + 1 <= ``block`` ends. Where
-        e - m < 1 (only for e < e1) the interval starts before the series
-        and its ``rss`` is NaN. The moments of [s, e]
-        are a suffix sum of the product rows t = s+p..e, accumulated from
-        t = e down, so each fit reads only the data in [s, e] and is
-        bitwise the same whichever block computes it.
+        Returns ``phi`` (Λ, B, M, L, p) and ``rss`` (Λ, B, M, L), indexed
+        by [lambda, e - e0, m - m0] for the Λ = ``len(lams)`` penalties and
+        B = e1 - e0 + 1 <= ``block`` ends. Where e - m < 1 (only for
+        e < e1) the interval starts before the series and its ``rss`` is
+        NaN. The moments of [s, e] are a suffix sum of the product rows
+        t = s+p..e, accumulated from t = e down, so each fit reads only the
+        data in [s, e] and is bitwise the same whichever block, and
+        whichever other lambdas, compute it.
         """
         p, L = self.config.p, self.config.L
         n = self.series.n
@@ -217,32 +246,34 @@ class IntervalLossEngine:
         if e1 - e0 >= self.block:
             raise ValueError(f"block of {e1 - e0 + 1} ends exceeds {self.block}")
         # window b starts at time e0 + b and runs back in time
-        windows = sliding_window_view(self._rev, m1 - p + 1, axis=-1)
-        windows = windows[:, :, n - e1 : n - e0 + 1][:, :, ::-1]
+        windows = self._windows[:, :, n - e1 : n - e0 + 1, : m1 - p + 1][:, :, ::-1]
         moments = np.cumsum(windows, axis=-1)[..., m0 - p :]
         syy = moments[0]
         corr = [moments[c] for c in self._c_idx]
         gram = [[moments[g] for g in row] for row in self._g_idx]
-        thr = self._thr[:, None, m0 - p : m1 - p + 1]
+        thr = self._thr[:, :, None, m0 - p : m1 - p + 1]
         phi = _lasso_solve(gram, corr, thr)
-        cross = np.zeros(syy.shape)
-        quad = np.zeros(syy.shape)
+        cross = np.zeros(phi.shape[1:])
+        quad = np.zeros(phi.shape[1:])
         for j in range(p):
             cross += corr[j] * phi[j]
             for k in range(p):
                 quad += phi[j] * gram[j][k] * phi[k]
         # multipole innermost, so a loss sums rss in the order of rss.sum()
-        rss = np.empty(syy.shape[1:] + (L,))
-        np.maximum(syy - 2.0 * cross + quad, 0.0, out=rss.transpose(2, 0, 1))
-        return phi.transpose(2, 3, 1, 0), rss
+        n_lam, _, n_ends, n_spans = cross.shape
+        rss = np.empty((n_lam, n_ends, n_spans, L))
+        np.maximum(syy - 2.0 * cross + quad, 0.0, out=rss.transpose(0, 3, 1, 2))
+        return phi.transpose(1, 3, 4, 2, 0), rss
 
-    def fit(self, s: int, e: int) -> IntervalFit:
+    def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:
+        """Fit of [s, e] at the penalty ``lams[lam_index]``."""
         phi, rss = self.fit_block(e, e, e - s, e - s)
+        rss = rss[lam_index, 0, 0]
         return IntervalFit(
             interval=(s, e),
-            phi=phi[0, 0],
-            rss=rss[0, 0],
-            loss=float(rss[0, 0].sum()),
+            phi=phi[lam_index, 0, 0],
+            rss=rss,
+            loss=float(rss.sum()),
             n_eff=e - s - self.config.p + 1,
         )
 

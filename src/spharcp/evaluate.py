@@ -63,8 +63,8 @@ class BenchRecord:
     """Outcome of one benchmark replicate.
 
     ``runtime`` is the wall time of the detection in seconds. In a tuning
-    sweep one ``detect_gammas`` pass per lambda serves every gamma, so the
-    records of that pass share its wall time.
+    sweep one ``detect_grid`` pass serves every (lambda, gamma) of a
+    replicate, so all the records of that replicate share its wall time.
     """
 
     scenario: str

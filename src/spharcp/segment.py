@@ -9,15 +9,17 @@ The recursion walks the segment ends in blocks: one
 the block, and the Bellman update then runs end by end. Each update
 takes the ``argmin`` of the candidate costs and keeps it when that least
 cost is unique; an exact tie (or a NaN) is decided by a ``lexsort`` over
-cost, then fewer segments, then the larger start. The interval
-losses do not depend on gamma, so ``detect_gammas`` runs one recursion
-for a whole tuple of penalties: each block's losses are fitted once and
-update one Bellman row per gamma. ``detect`` is that recursion at the
-single gamma of its config.
+cost, then fewer segments, then the larger start. One engine fits each
+block at every LASSO penalty lambda at once, and the losses do not depend
+on gamma, so ``detect_grid`` runs one recursion for a whole (lambda,
+gamma) grid: each block is fitted once and updates one Bellman row per
+(lambda, gamma). ``detect`` is that recursion at the single lambda and
+gamma of its config.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -90,39 +92,49 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
         (n < 2 delta), the single-segment partition is returned with a
         warning instead of failing.
     """
-    return detect_gammas(series, config, (config.gamma,))[0]
+    return detect_grid(series, config, (config.lam,), (config.gamma,))[0]
 
 
-def detect_gammas(
-    series: CoefficientSeries, config: DetectorConfig, gammas: Sequence[float]
+def detect_grid(
+    series: CoefficientSeries,
+    config: DetectorConfig,
+    lams: Sequence[float | Sequence[float]],
+    gammas: Sequence[float],
 ) -> tuple[DetectionResult, ...]:
-    """``detect`` at every segment penalty in ``gammas`` from one loss pass.
+    """``detect`` at every (lambda, gamma) of ``lams`` x ``gammas`` from one pass.
 
-    The interval losses do not depend on gamma, so each block of segment
-    ends is fitted once and feeds one Bellman row per gamma. Result
-    g equals ``detect(series, replace(config, gamma=gammas[g]))``, bit for
-    bit; its ``config`` is that replaced config, so every gamma is
-    validated by ``DetectorConfig``.
+    One engine fits each block of segment ends once, at every lambda, and
+    each lambda's losses feed one Bellman row per gamma. Results come in
+    ``itertools.product(lams, gammas)`` order: result
+    ``i * len(gammas) + g`` equals
+    ``detect(series, replace(config, lam=lams[i], gamma=gammas[g]))``, bit
+    for bit, and its ``config`` is that replaced config, so every lambda
+    and gamma is validated by ``DetectorConfig``. An empty ``lams`` or
+    ``gammas`` gives ``()``.
     """
-    configs = tuple(replace(config, gamma=g) for g in gammas)
+    configs = tuple(
+        replace(config, lam=lam, gamma=gamma)
+        for lam, gamma in itertools.product(lams, gammas)
+    )
     if not configs:
         return ()
     n = series.n
     delta = config.delta
-    engine = IntervalLossEngine(series, config)
+    engine = IntervalLossEngine(series, config, lams)
+    n_gammas = len(gammas)
 
     if n < 2 * delta:
-        fit = engine.fit(1, n)
+        fits = [engine.fit(1, n, i) for i in range(len(engine.lams))]
         return tuple(
             DetectionResult(
                 partition=Partition(n=n, change_points=()),
-                fits=(fit,),
-                objective=fit.loss + cfg.gamma,
+                fits=(fits[r // n_gammas],),
+                objective=fits[r // n_gammas].loss + cfg.gamma,
                 config=cfg,
                 warning=f"series length {n} < 2*delta = {2 * delta}; "
                 "returned the single-segment partition",
             )
-            for cfg in configs
+            for r, cfg in enumerate(configs)
         )
 
     shape = (len(configs), n + 1)
@@ -132,6 +144,8 @@ def detect_gammas(
     back = np.full(shape, -1, dtype=int)
 
     rows = tuple(zip(best, nseg, back, (cfg.gamma for cfg in configs)))
+    # the Bellman rows of lambda i, one per gamma
+    rows_by_lam = [rows[i : i + n_gammas] for i in range(0, len(rows), n_gammas)]
     # The prefixes that admit a partition are 0 and delta.., so the
     # admissible starts of e are 1 and delta+1..e-delta+1.
     starts = np.concatenate(([1], np.arange(delta + 1, n - delta + 2)))
@@ -140,37 +154,39 @@ def detect_gammas(
         e1 = min(e0 + engine.block - 1, n)
         _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
         losses = rss.sum(axis=-1)
-        for e, losses_e in zip(range(e0, e1 + 1), losses):
+        for b, e in enumerate(range(e0, e1 + 1)):
             s = starts[: max(1, e - 2 * delta + 2)]
             prev = s - 1
-            loss = losses_e[e - m0 - s]
-            for row_best, row_nseg, row_back, gamma in rows:
-                cost = row_best[prev]
-                cost += loss
-                cost += gamma
-                i = cost.argmin()
-                # a unique least cost wins outright; ties (and NaN) take
-                # the full order: cost, then fewer segments, then larger s
-                if np.count_nonzero(cost == cost[i]) != 1:
-                    i = np.lexsort((-s, row_nseg[prev] + 1, cost))[0]
-                row_best[e] = cost[i]
-                row_nseg[e] = row_nseg[prev[i]] + 1
-                row_back[e] = s[i]
+            for loss, lam_rows in zip(losses[:, b, e - m0 - s], rows_by_lam):
+                for row_best, row_nseg, row_back, gamma in lam_rows:
+                    cost = row_best[prev]
+                    cost += loss
+                    cost += gamma
+                    i = cost.argmin()
+                    # a unique least cost wins outright; ties (and NaN) take
+                    # the full order: cost, then fewer segments, then larger s
+                    if np.count_nonzero(cost == cost[i]) != 1:
+                        i = np.lexsort((-s, row_nseg[prev] + 1, cost))[0]
+                    row_best[e] = cost[i]
+                    row_nseg[e] = row_nseg[prev[i]] + 1
+                    row_back[e] = s[i]
 
     return tuple(
-        _traceback(engine, cfg, best[g], back[g], nseg[g])
-        for g, cfg in enumerate(configs)
+        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r])
+        for r, cfg in enumerate(configs)
     )
 
 
 def _traceback(
     engine: IntervalLossEngine,
     config: DetectorConfig,
+    lam_index: int,
     best: np.ndarray,
     back: np.ndarray,
     nseg: np.ndarray,
 ) -> DetectionResult:
-    """Read the optimal partition off one Bellman row and fit its segments."""
+    """Read the optimal partition off one Bellman row and fit its segments
+    at the engine's lambda ``lam_index``."""
     n = len(best) - 1
     starts: list[int] = []
     e = n
@@ -181,7 +197,7 @@ def _traceback(
     starts.reverse()
 
     partition = Partition(n=n, change_points=tuple(starts[1:]))
-    fits = tuple(engine.fit(a, b) for a, b in partition.segments())
+    fits = tuple(engine.fit(a, b, lam_index) for a, b in partition.segments())
     return DetectionResult(
         partition=partition,
         fits=fits,

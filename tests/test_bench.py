@@ -75,3 +75,11 @@ def test_tuning_replicate_matches_a_detect_per_setting():
 def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
     with pytest.raises(ConfigError, match="repeated"):
         run_tuning_grid(8, 2, reps=1, base_seed=1, lams=lams, gammas=gammas, threads=1)
+
+
+def test_tuning_grid_same_for_any_worker_count():
+    serial = run_tuning_grid(8, 2, reps=2, base_seed=1, threads=1)
+    pooled = run_tuning_grid(8, 2, reps=2, base_seed=1, threads=2)
+    assert list(serial) == list(pooled)
+    for key, records in serial.items():
+        assert [r.est_cps for r in records] == [r.est_cps for r in pooled[key]]

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spharcp.errors import ConfigError
 from spharcp.estimate import IntervalLossEngine
-from spharcp.segment import detect, detect_gammas, objective_of
+from spharcp.segment import detect, detect_grid, objective_of
 from spharcp.simulate import scenario_table1, simulate
 from spharcp.types import CoefficientSeries, DetectorConfig, Partition
 
@@ -119,6 +120,41 @@ class TestDetectBehavior:
         assert all(e - s + 1 >= 7 for s, e in result.partition.segments())
 
 
+def assert_same_result(got, want):
+    """Two detection results agree bit for bit, DP tables and fits included."""
+    assert (got.config.lam, got.config.gamma) == (want.config.lam, want.config.gamma)
+    assert got.change_points == want.change_points
+    assert got.objective == want.objective
+    assert got.warning == want.warning
+    assert (got.dp is None) == (want.dp is None)
+    if want.dp is not None:
+        assert np.array_equal(got.dp.best_cost, want.dp.best_cost)
+        assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
+        assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
+    assert len(got.fits) == len(want.fits)
+    for a, b in zip(got.fits, want.fits):
+        assert a.interval == b.interval
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.rss, b.rss)
+
+
+def tie_series(n, L, data, seed):
+    """A test series and a gamma for it: random data, or data made of ties.
+
+    ``zeros`` makes every cost 0, so the fewest segments decide. ``spikes``
+    puts unit spikes at t = 20 and 24, closer than delta = 5: a segment
+    starting at either one drops it from the loss, so those two starts tie
+    in cost and segment count and the larger one wins.
+    """
+    if data == "random":
+        return random_series(n=n, L=L, seed=seed), 40.0
+    values = np.zeros((n, L * L))
+    if data == "spikes":
+        values[[19, 23]] = 1.0
+        return CoefficientSeries(n=n, L=L, data=values), L * L / 2
+    return CoefficientSeries(n=n, L=L, data=values), 0.0
+
+
+# The gamma axis of the grid at one lambda.
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 @pytest.mark.parametrize("n", [40, 8], ids=["full-dp", "shorter-than-2-delta"])
@@ -126,23 +162,31 @@ def test_detect_gammas_matches_detect_bitwise(p, lam, n):
     series = random_series(n=n, L=2, seed=61 + p)
     config = DetectorConfig(p=p, L=2, lam=lam, gamma=1.0, delta=5)
     gammas = (20.0, 0.0, 1e12, 3.0)
-    results = detect_gammas(series, config, gammas)
+    results = detect_grid(series, config, (lam,), gammas)
     assert len(results) == len(gammas)
     for gamma, got in zip(gammas, results):
-        want = detect(series, replace(config, gamma=gamma))
         assert got.config.gamma == gamma
-        assert got.change_points == want.change_points
-        assert got.objective == want.objective
-        assert got.warning == want.warning
-        assert (got.dp is None) == (want.dp is None)
-        if want.dp is not None:
-            assert np.array_equal(got.dp.best_cost, want.dp.best_cost)
-            assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
-            assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
-        assert len(got.fits) == len(want.fits)
-        for a, b in zip(got.fits, want.fits):
-            assert np.array_equal(a.phi, b.phi) and np.array_equal(a.rss, b.rss)
+        assert_same_result(got, detect(series, replace(config, gamma=gamma)))
     assert len({r.change_points for r in results}) > 1 or n == 8
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, data",
+    [(40, "random"), (8, "random"), (40, "zeros"), (40, "spikes")],
+    ids=["full-dp", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
+)
+def test_detect_grid_matches_detect_bitwise(p, n, data):
+    series, gamma = tie_series(n, 3, data, seed=64 + p)
+    config = DetectorConfig(p=p, L=3, delta=5)
+    lams = (0.0, 0.5, (0.2, 0.0, 1.5))
+    gammas = (gamma, 0.0, 1e12)
+    results = detect_grid(series, config, lams, gammas)
+    assert len(results) == len(lams) * len(gammas)
+    for i, lam in enumerate(lams):
+        for g, gamma in enumerate(gammas):
+            want = detect(series, replace(config, lam=lam, gamma=gamma))
+            assert_same_result(results[i * len(gammas) + g], want)
 
 
 def test_detect_gammas_validates_every_gamma():
@@ -150,7 +194,40 @@ def test_detect_gammas_validates_every_gamma():
     config = DetectorConfig(p=1, L=1, gamma=1.0, delta=5)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            detect_gammas(series, config, (1.0, bad))
+            detect_grid(series, config, (0.0,), (1.0, bad))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, (0.5, -0.1)])
+def test_detect_grid_validates_every_lambda(bad):
+    series = random_series(n=20, L=2, seed=4)
+    config = DetectorConfig(p=1, L=2, gamma=1.0, delta=5)
+    with pytest.raises(ConfigError):
+        detect_grid(series, config, (0.0, bad), (1.0,))
+
+
+def test_detect_grid_of_an_empty_axis_is_empty():
+    series = random_series(n=20, L=1, seed=4)
+    config = DetectorConfig(p=1, L=1, gamma=1.0, delta=5)
+    assert detect_grid(series, config, (), (1.0, 2.0)) == ()
+    assert detect_grid(series, config, (0.0, 1.0), ()) == ()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
+    series = random_series(n=30, L=3, seed=66 + p)
+    config = DetectorConfig(p=p, L=3, delta=5)
+    lams = (0.0, 0.7, (1.0, 0.0, 0.3))
+    engine = IntervalLossEngine(series, config, lams)
+    e0, e1 = 10, min(10 + engine.block - 1, 30)
+    phi, rss = engine.fit_block(e0, e1, p, e1 - 1)
+    assert phi.shape[0] == rss.shape[0] == len(lams)
+    for i, lam in enumerate(lams):
+        alone = IntervalLossEngine(series, replace(config, lam=lam))
+        phi_1, rss_1 = alone.fit_block(e0, e1, p, e1 - 1)
+        assert np.array_equal(phi[i], phi_1[0], equal_nan=True)
+        assert np.array_equal(rss[i], rss_1[0], equal_nan=True)
+        fit, fit_1 = engine.fit(4, 25, i), alone.fit(4, 25)
+        assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
 
 def fresh_bellman(series, config):
@@ -181,20 +258,7 @@ def fresh_bellman(series, config):
 )
 def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
     # L >= 8 sums rss over multipoles in numpy's pairwise order
-    series = random_series(n=n, L=L, seed=80 + p)
-    gamma = 40.0
-    if data != "random":
-        values = np.zeros((n, L * L))
-        if data == "spikes":
-            # Unit spikes at t = 20 and 24, closer than delta: a segment
-            # starting at either one drops it from the loss, so those two
-            # starts tie in cost and segment count and the larger one wins.
-            values[[19, 23]] = 1.0
-            gamma = L * L / 2
-        else:
-            # every cost is 0, so the fewest segments decide
-            gamma = 0.0
-        series = CoefficientSeries(n=n, L=L, data=values)
+    series, gamma = tie_series(n, L, data, seed=80 + p)
     config = DetectorConfig(p=p, L=L, lam=0.3, gamma=gamma, delta=5)
     result = detect(series, config)
     ref = IntervalLossEngine(series, config)
@@ -242,7 +306,7 @@ class TestDpTable:
         for e0 in range(config.delta, series.n + 1, engine.block):
             e1 = min(e0 + engine.block - 1, series.n)
             _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
-            for e, losses in zip(range(e0, e1 + 1), rss.sum(axis=-1)):
+            for e, losses in zip(range(e0, e1 + 1), rss[0].sum(axis=-1)):
                 for m in range(m0, e):
                     fresh = IntervalLossEngine(series, config).fit(e - m, e)
                     assert losses[m - m0] == fresh.loss
