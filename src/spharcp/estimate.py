@@ -66,11 +66,6 @@ def _moment_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return c_idx, g_idx
 
 
-def soft_threshold(x, thr):
-    """Elementwise sign(x) * max(|x| - thr, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-
-
 def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
     """Exact minimizer of phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
@@ -88,9 +83,19 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
     strict <, from phi = 0 at objective 0. A one-coordinate support {a}
     tries one sign only: x = (corr_a - thr sigma) / G_aa has sign sigma
     only if corr_a > thr for sigma = +1 or corr_a < -thr for sigma = -1,
-    and with thr >= 0 at most one holds, for sigma = sign(corr_a). Every
-    step is elementwise in a fixed order, so each row is bitwise the row
-    solved alone; at p = 1 this is soft(corr, thr) / G.
+    and with thr >= 0 at most one holds, for sigma = sign(corr_a).
+
+    When every entry of ``thr`` is 0 (the paper's default lambda = 0), the
+    right-hand side is corr_A for every sigma, so a support of two or more
+    coordinates solves one system and only sigma = sign(x) can pass: the
+    candidate is kept when every pivot is > 0 and every |x_j| > 0 (NaN
+    fails, as sigma * NaN > 0 does). The candidates, their objectives and
+    their order are those of the full enumeration, so the rows keep their
+    bits. A call with any non-zero threshold enumerates every sign vector
+    for all its rows, also those at a lambda = 0 slice of a mixed grid.
+
+    Every step is elementwise in a fixed order, so each row is bitwise the
+    row solved alone; at p = 1 this is soft(corr, thr) / G.
     """
     p = len(corr)
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
@@ -111,8 +116,13 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
             np.copyto(best, obj, where=better)
             np.copyto(phi, 0.0, where=better)
             np.copyto(phi[a], x, where=better)
+        # at thr = 0 one right-hand side serves every sign vector (see above)
+        one_sign = p > 1 and not np.any(thr)
         for k in range(2, p + 1):
-            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+            if one_sign:
+                signs = np.ones((1, k))
+            else:
+                signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
             signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):
                 d, low = [], {}
@@ -141,7 +151,10 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
                         np.subtract(x[j], np.multiply(low[i, j], x[i], out=tmp), out=x[j])
                 ok = np.logical_and.reduce([dj > 0.0 for dj in d])
                 for j in range(k):
-                    ok = ok & (np.multiply(signs[:, j], x[j], out=tmp) > 0.0)
+                    if one_sign:
+                        ok = ok & (np.abs(x[j], out=tmp) > 0.0)
+                    else:
+                        ok = ok & (np.multiply(signs[:, j], x[j], out=tmp) > 0.0)
                 # obj = 0.0 - x_0 b_0 - x_1 b_1 - ..., accumulated in b's buffers
                 obj = np.subtract(0.0, np.multiply(x[0], b[0], out=b[0]), out=b[0])
                 for j in range(1, k):
@@ -173,12 +186,15 @@ class IntervalFit:
 
 
 # Solver rows per block call at one lambda, counting each (interval,
-# multipole) row once per sign vector of a full support (2^p): a block of
-# segment ends holds at most this many per lambda, so its working set stays
-# bounded whatever n. An engine with several lambdas holds that many times
-# the rows per call; counting them in the budget would shrink the tuning
-# sweep's blocks to one end, and the per-call overhead then costs more than
-# batching the lambdas saves.
+# multipole) row once per sign vector a full support holds: 2^p, or p = 1's
+# two when every lambda of the engine is 0 and ``_lasso_solve`` keeps one
+# sign vector per support of two or more coordinates. (Counting that one
+# row alone would give p >= 2 blocks twice p = 1's, for more memory and
+# little speed.) A block of segment ends holds at most this many rows per
+# lambda, so its working set stays bounded whatever n. An engine with
+# several lambdas holds that many times the rows per call; counting them
+# in the budget would shrink the tuning sweep's blocks to one end, and the
+# per-call overhead then costs more than batching the lambdas saves.
 _BLOCK_ROWS = 16384
 
 
@@ -195,6 +211,13 @@ class IntervalLossEngine:
     ``fit(s, e, lam_index)`` is its one-end, one-start case. ``block`` is
     the most ends one call takes, sized from ``_BLOCK_ROWS``. Instances are
     immutable after construction and safe to share across threads.
+
+    Construction raises ``DegenerateFitError``, naming the first multipole
+    at fault, when a product, or 4 times the sum over t and the multipoles
+    so far of the products' absolute values, overflows: the fits could be
+    NaN, or a loss clamped to 0. Products that underflow are exact zeros,
+    as in a zero series; at scale 1e-170 every loss is 0 and ``detect``
+    returns the single segment. That case is not an error.
     """
 
     def __init__(
@@ -212,9 +235,10 @@ class IntervalLossEngine:
             raise ValueError("lams must hold at least one penalty")
         # each lambda is validated as the config's lam would be
         lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
-        n, L = series.n, config.L
-        self.block = max(1, _BLOCK_ROWS // (L * n << config.p))
-        prod = per_time_products(series, config.p, L)
+        n, L, p = series.n, config.L, config.p
+        sign_rows = 1 << (p if lam.any() else 1)
+        self.block = max(1, _BLOCK_ROWS // (L * n * sign_rows))
+        prod = per_time_products(series, p, L)
         # column j holds time n - j; the NaN tail lets every window of a block fit
         rev = np.full((prod.shape[2], L, 2 * n), np.nan)
         rev[:, :, :n] = prod.transpose(2, 1, 0)[:, :, ::-1]
@@ -224,6 +248,19 @@ class IntervalLossEngine:
         n_eff = np.arange(1, n + 1)
         self._thr = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
         self._c_idx, self._g_idx = _moment_indices(config.p)
+        # Every interval's moments, and a partition's loss summed over
+        # multipoles, are bounded by the running total over multipoles of
+        # the sums over t of the products' absolute values. The rss terms
+        # 2 corr'phi and phi'G phi reach 4 syy (the fit's objective is at
+        # most 0's), so the fits stay finite while 4 times that total does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 4.0 * np.abs(prod[p:]).sum(axis=0).cumsum(axis=0)
+        bad = np.flatnonzero(~np.isfinite(total).all(axis=-1))
+        if bad.size:
+            raise DegenerateFitError(
+                f"cross products overflow at multipole {int(bad[0])}: "
+                "the coefficients are too large; rescale the series"
+            )
 
     def fit_block(self, e0: int, e1: int, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
         """Fit every interval [e - m, e] for e0 <= e <= e1 and m0 <= m <= m1.

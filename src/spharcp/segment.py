@@ -171,8 +171,10 @@ def detect_grid(
                     row_nseg[e] = row_nseg[prev[i]] + 1
                     row_back[e] = s[i]
 
+    # the final fits, shared by the rows that end on the same segments
+    fits: dict[tuple[int, int, int], IntervalFit] = {}
     return tuple(
-        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r])
+        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r], fits)
         for r, cfg in enumerate(configs)
     )
 
@@ -184,9 +186,11 @@ def _traceback(
     best: np.ndarray,
     back: np.ndarray,
     nseg: np.ndarray,
+    fits: dict[tuple[int, int, int], IntervalFit],
 ) -> DetectionResult:
     """Read the optimal partition off one Bellman row and fit its segments
-    at the engine's lambda ``lam_index``."""
+    at the engine's lambda ``lam_index``, reusing and adding to ``fits``,
+    keyed by (start, end, lam_index)."""
     n = len(best) - 1
     starts: list[int] = []
     e = n
@@ -197,10 +201,13 @@ def _traceback(
     starts.reverse()
 
     partition = Partition(n=n, change_points=tuple(starts[1:]))
-    fits = tuple(engine.fit(a, b, lam_index) for a, b in partition.segments())
+    keys = [(a, b, lam_index) for a, b in partition.segments()]
+    for key in keys:
+        if key not in fits:
+            fits[key] = engine.fit(*key)
     return DetectionResult(
         partition=partition,
-        fits=fits,
+        fits=tuple(fits[key] for key in keys),
         objective=float(best[n]),
         config=config,
         dp=DpTable(best_cost=best, back_pointer=back, n_segments=nseg),

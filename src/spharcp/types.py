@@ -214,7 +214,9 @@ class DetectorConfig:
         Number of multipoles used for fitting.
     lam : float | sequence of float
         L1 penalty level; a scalar applies to every multipole, a
-        sequence gives one value per multipole. All entries >= 0.
+        sequence gives one value per multipole (kept as a tuple). All
+        entries >= 0. Configs compare and hash by p, L, lam, gamma and
+        delta.
     gamma : float
         Per-segment penalty of the partition objective, finite and >= 0.
     delta : int
@@ -226,7 +228,7 @@ class DetectorConfig:
     lam: float | tuple[float, ...] = 0.0
     gamma: float = 0.0
     delta: int = 5
-    lam_per_ell: np.ndarray = field(init=False, repr=False)
+    lam_per_ell: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.p <= 5:
@@ -244,4 +246,7 @@ class DetectorConfig:
             raise ConfigError(f"lam must be scalar or length L={self.L}")
         if not (np.isfinite(lam).all() and (lam >= 0).all()):
             raise ConfigError("lam entries must be finite and >= 0")
+        if np.ndim(self.lam) == 1:
+            # a list or array lam is kept as a tuple, so configs hash
+            object.__setattr__(self, "lam", tuple(lam.tolist()))
         object.__setattr__(self, "lam_per_ell", lam)

@@ -72,6 +72,18 @@ def ols_rss(series: CoefficientSeries, s: int, e: int, ell: int, p: int) -> floa
     return float(resid @ resid)
 
 
+def soft_threshold(x, thr):
+    """Elementwise sign(x) * max(|x| - thr, 0), the p = 1 LASSO closed form."""
+    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Two float arrays hold the same bits: signed zeros and NaNs told apart."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def all_partitions(n: int, delta: int):
     """Exhaustively enumerate segmentations of 1..n with segments >= delta."""
     out: list[list[tuple[int, int]]] = []

@@ -11,7 +11,7 @@ import numpy as np
 
 from spharcp.bench import run_bench, run_tuning_grid
 from spharcp.diagnostics import theory_tuning_bounds
-from spharcp.estimate import lasso_fit_interval, soft_threshold
+from spharcp.estimate import lasso_fit_interval
 from spharcp.evaluate import aggregate, hausdorff_scaled
 from spharcp.segment import detect
 from spharcp.simulate import scenario_epidemic, scenario_table1
@@ -24,6 +24,7 @@ from conftest import (
     hausdorff_double_loop,
     ols_fit,
     random_series,
+    soft_threshold,
 )
 from test_segment import brute_force_minimum
 

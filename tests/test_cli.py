@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from spharcp.cli import main
-from spharcp.io import read_bench_records, read_coefficients, read_metrics, read_result
+from spharcp.io import (
+    read_bench_records,
+    read_coefficients,
+    read_metrics,
+    read_result,
+    write_coefficients,
+)
+from spharcp.types import CoefficientSeries
 
 
 @pytest.fixture
@@ -209,6 +216,21 @@ def test_detect_on_simulated_benchmark_scenario(tmp_path):
     cps = read_result(result_path)["change_points"]
     assert len(cps) == 1
     assert abs(cps[0] - 100) <= 5
+
+
+def test_detect_overflowing_series_exits_4_without_a_result(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "table1-balanced", "q": 8, "d": 2, "seed": 4}))
+    coeffs = tmp_path / "t1.csv"
+    main(["simulate", "--config", str(cfg), "--out", str(coeffs)])
+    series, _ = read_coefficients(coeffs)
+    huge = CoefficientSeries(n=series.n, L=series.L, data=series.data * 1e160)
+    write_coefficients(coeffs, huge)
+    result_path = tmp_path / "result.json"
+    code = main(["detect", "--in", str(coeffs), "--out", str(result_path), "--gamma", "300"])
+    assert code == 4
+    assert "overflow at multipole 0" in capsys.readouterr().err
+    assert not result_path.exists()
 
 
 def test_eval_exact_match_gives_zero_distance(tmp_path, tiny_config):

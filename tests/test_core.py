@@ -109,6 +109,15 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(p=1, L=1, gamma=-1.0)
 
+    def test_equality_and_hash_come_from_the_declared_fields(self):
+        a, b = DetectorConfig(p=1, L=2), DetectorConfig(p=1, L=2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, DetectorConfig(p=1, L=2, lam=(0.5, 0.0))}) == 2
+        listed = DetectorConfig(p=1, L=2, lam=[0.5, 0.0])
+        assert listed == DetectorConfig(p=1, L=2, lam=np.array([0.5, 0.0]))
+        assert hash(listed) == hash(DetectorConfig(p=1, L=2, lam=(0.5, 0.0)))
+        assert DetectorConfig(p=1, L=2, lam=0.5) != DetectorConfig(p=1, L=2, lam=0.25)
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         with pytest.raises(ConfigError, match="gamma must be finite and >= 0"):

@@ -7,17 +7,26 @@ import pytest
 
 from spharcp.errors import DegenerateFitError
 from spharcp.estimate import (
+    _BLOCK_ROWS,
     IntervalLossEngine,
     _lasso_solve,
     fit_segment_with_intercept,
     lasso_fit_interval,
     mean_surface,
     per_time_products,
-    soft_threshold,
 )
 from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
 
-from conftest import ar1_series, dense_design, ols_fit, ols_rss, random_series, series_from_streams
+from conftest import (
+    ar1_series,
+    dense_design,
+    ols_fit,
+    ols_rss,
+    random_series,
+    same_bits,
+    series_from_streams,
+    soft_threshold,
+)
 
 
 def enumerated_lasso_solve(gram, corr, thr):
@@ -26,10 +35,11 @@ def enumerated_lasso_solve(gram, corr, thr):
     One-coordinate supports included, so it checks the single sign that
     ``_lasso_solve`` tries there. Same square-root-free LDL', same
     elementwise steps and same strict < as ``_lasso_solve``, on the same
-    coordinate-major layout: gram (p, p, R), corr (p, R).
+    coordinate-major layout: gram (p, p, ...), corr (p, ...), with thr
+    broadcasting against a row.
     """
     p = len(corr)
-    shape = np.shape(corr[0])
+    shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
     phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -189,6 +199,30 @@ class TestLassoFitInterval:
         if p == 1:  # soft(corr, thr) / g is 0 at |corr| <= thr
             assert (got[0, :4] == 0.0).all() and (got[0, 6:8] == 0.0).all()
 
+        # thr = 0 everywhere: one sign vector per support of two or more lags.
+        # Rows 4, 5 and 8 keep their zero lag (g = 0), rows 20..29 their
+        # near-collinear lags.
+        thr[:] = 0.0
+        corr[:, 10], corr[:, 11] = 0.0, -0.0
+        corr[0, 12] = -0.0
+        # a diagonal Gram with corr_1 = +-0: the full support solves to x_1 = 0
+        gram[:, :, 13:15] = np.diag(np.arange(1.0, p + 1))[:, :, None]
+        corr[:, 13:15] = 1.0
+        corr[-1, 13], corr[-1, 14] = 0.0, -0.0
+        # non-finite rows: a NaN correlation, an infinite cross moment
+        corr[-1, 15] = np.nan
+        gram[0, -1, 16] = gram[-1, 0, 16] = np.inf
+        got = _lasso_solve(gram, corr, thr)
+        want = enumerated_lasso_solve(gram, corr, thr)
+        assert same_bits(got, want)
+        # the same rows in a call that enumerates every sign vector
+        mixed = thr.copy()
+        mixed[-1] = 1.0
+        assert same_bits(_lasso_solve(gram, corr, mixed)[:, :-1], got[:, :-1])
+        assert np.isfinite(got).all()
+        assert (got[-1, 13:15] == 0.0).all()
+        assert (got[:-1, 13:15] == 1.0 / np.arange(1, p)[:, None]).all()
+
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)
         with pytest.raises(ValueError):
@@ -272,6 +306,50 @@ class TestIntervalLoss:
         assert np.array_equal(
             per_time_products(series, p, 2), per_time_products(series, p)[:, :2], equal_nan=True
         )
+
+    def test_block_counts_the_sign_rows_the_solve_holds(self):
+        # 2^p sign vectors per row at any lambda > 0, p = 1's two when every
+        # lambda is 0 and a support keeps one sign vector
+        series = random_series(n=40, L=3, seed=9)
+        two_signs = _BLOCK_ROWS // (3 * 40 * 2)
+        for p in (1, 2, 3, 4):
+            def block(lams):
+                return IntervalLossEngine(series, self.config(L=3, p=p), lams).block
+
+            all_signs = max(1, _BLOCK_ROWS // (3 * 40 << p))
+            assert block(None) == block((0.0, (0.0, 0.0, 0.0))) == two_signs
+            for lams in ((0.5,), (0.0, 1.0), ((0.0, 0.0, 0.3),)):
+                assert block(lams) == all_signs
+            assert (all_signs == two_signs) == (p == 1)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_overflowing_products_fail_loudly(self, p):
+        series = random_series(n=30, L=3, seed=7)
+        for scale, slots, bad in ((1e160, slice(None), 0), (1e200, slice(4, 9), 2)):
+            data = series.data.copy()
+            data[:, slots] *= scale
+            huge = CoefficientSeries(n=30, L=3, data=data)
+            with pytest.raises(DegenerateFitError, match=f"overflow at multipole {bad}"):
+                IntervalLossEngine(huge, self.config(L=3, p=p))
+
+    def test_overflowing_sum_over_multipoles_fails_loudly(self):
+        # 4 times each multipole's sum of products is finite, 4 times their total is not
+        huge = CoefficientSeries(n=30, L=2, data=np.full((30, 4), 6.6e152))
+        with pytest.raises(DegenerateFitError, match="overflow at multipole 1"):
+            IntervalLossEngine(huge, self.config(L=2))
+
+    def test_overflowing_rss_terms_fail_loudly(self):
+        # finite moments whose 2 corr'phi overflows would clamp the loss to 0
+        data = ar1_series(n=30, L=1, phi=0.99, c_noise=1.0, seed=3).data
+        data = data * np.sqrt(1.2e308 / np.sum(data[1:] ** 2))
+        huge = CoefficientSeries(n=30, L=1, data=data)
+        with pytest.raises(DegenerateFitError, match="overflow at multipole 0"):
+            IntervalLossEngine(huge, self.config(L=1))
+
+    def test_underflowing_products_fit_as_a_zero_series(self):
+        tiny = CoefficientSeries(n=30, L=2, data=random_series(n=30, L=2, seed=7).data * 1e-170)
+        fit = IntervalLossEngine(tiny, self.config(L=2, p=2)).fit(1, 30)
+        assert fit.loss == 0.0 and np.array_equal(fit.phi, np.zeros((2, 2)))
 
     def test_products_poisoned_before_lag_window(self):
         series = random_series(n=10, L=1, seed=6)

@@ -7,13 +7,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spharcp import estimate
 from spharcp.errors import ConfigError
 from spharcp.estimate import IntervalLossEngine
 from spharcp.segment import detect, detect_grid, objective_of
-from spharcp.simulate import scenario_table1, simulate
-from spharcp.types import CoefficientSeries, DetectorConfig, Partition
+from spharcp.simulate import ScenarioSpec, build_beta, scenario_table1, simulate
+from spharcp.types import (
+    ArCoefficients,
+    CoefficientSeries,
+    DetectorConfig,
+    Partition,
+    SegmentSpec,
+)
 
-from conftest import all_partitions, random_series
+from conftest import all_partitions, random_series, same_bits
+from test_estimate import enumerated_lasso_solve
 
 
 def brute_force_minimum(series, config):
@@ -278,6 +286,61 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
     for got in result.fits:
         want = ref.fit(*got.interval)
         assert np.array_equal(got.phi, want.phi) and np.array_equal(got.rss, want.rss)
+
+
+def ar2_series(n=120, L=10, seed=1):
+    """An AR(2) series with one break at n/2, at the ar2-detect benchmark's size."""
+    beta = build_beta(8, 2.0, L)
+    noise = 1.0 / np.maximum(1.0, np.arange(L) * (np.arange(L) + 1.0))
+    segments = tuple(
+        SegmentSpec(coeffs=ArCoefficients(p=2, phi=np.outer(beta, phi)), noise_spectrum=c * noise)
+        for phi, c in (((0.6, -0.3), 1.0), ((-0.6, 0.2), 0.5))
+    )
+    partition = Partition(n=n, change_points=(n // 2,))
+    return simulate(ScenarioSpec(n=n, L=L, p=2, partition=partition, segments=segments, seed=seed))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_sign_per_support_at_zero_lambda_keeps_every_bit(p, monkeypatch):
+    series = ar2_series()
+    config = DetectorConfig(p=p, L=10, lam=0.0, gamma=100.0, delta=5)
+    got = detect(series, config)
+    monkeypatch.setattr(estimate, "_lasso_solve", enumerated_lasso_solve)
+    want = detect(series, config)
+    assert got.change_points == want.change_points and len(got.change_points) > 0
+    assert same_bits(got.objective, want.objective)
+    assert same_bits(got.dp.best_cost, want.dp.best_cost)
+    assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
+    assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
+    for a, b in zip(got.fits, want.fits, strict=True):
+        assert a.interval == b.interval
+        assert same_bits(a.phi, b.phi) and same_bits(a.rss, b.rss) and a.loss == b.loss
+
+
+def test_detect_grid_fits_each_final_segment_once(monkeypatch):
+    series = random_series(n=40, L=2, seed=62)
+    config = DetectorConfig(p=1, L=2, delta=5)
+    calls = []
+    engine_fit = IntervalLossEngine.fit
+
+    def counted_fit(self, s, e, lam_index=0):
+        calls.append((s, e, lam_index))
+        return engine_fit(self, s, e, lam_index)
+
+    lams, gammas = (0.0, 0.5), (1e12, 1e11, 20.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(IntervalLossEngine, "fit", counted_fit)
+        results = detect_grid(series, config, lams, gammas)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {
+        (*fit.interval, r // len(gammas)) for r, got in enumerate(results) for fit in got.fits
+    }
+    # both huge gammas give the single segment at each lambda: one fit each
+    assert results[0].fits[0] is results[1].fits[0]
+    assert results[3].fits[0] is results[4].fits[0]
+    for r, got in enumerate(results):
+        want = detect(series, replace(config, lam=lams[r // 3], gamma=gammas[r % 3]))
+        assert_same_result(got, want)
 
 
 def test_detect_peak_memory_grows_at_most_linearly_in_n():
