@@ -17,7 +17,6 @@ from spharcp.estimate import (
     IntervalLossEngine,
     SegmentFit,
     fit_segment_with_intercept,
-    lasso_fit_interval,
     mean_surface,
 )
 from spharcp.evaluate import (
@@ -75,7 +74,6 @@ __all__ = [
     "fit_segment_with_intercept",
     "hausdorff_scaled",
     "jump_size",
-    "lasso_fit_interval",
     "mean_surface",
     "noise_ratio",
     "objective_of",

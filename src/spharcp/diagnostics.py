@@ -42,10 +42,14 @@ def check_causality(coeffs: ArCoefficients) -> np.ndarray:
 
 
 def _char_poly_sq_modulus(phi: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """|1 - sum_j phi_j e^{-i nu j}|^2 evaluated elementwise over nu."""
+    """|1 - sum_j phi_j e^{-i nu j}|^2 over nu, for phi of shape (..., p).
+
+    Returns shape (...,) + nu.shape: one row per coefficient vector.
+    """
     phi = np.asarray(phi, dtype=float)
-    j = np.arange(1, phi.size + 1)
-    z = 1.0 - np.exp(-1j * np.multiply.outer(nu, j)) @ phi.astype(complex)
+    j = np.arange(1, phi.shape[-1] + 1)
+    basis = np.exp(-1j * np.multiply.outer(nu, j))
+    z = 1.0 - (basis @ phi[..., None].astype(complex))[..., 0]
     return np.abs(z) ** 2
 
 
@@ -159,10 +163,7 @@ class TuningBounds:
 
 
 def theory_tuning_bounds(
-    segments: list[SegmentSpec],
-    lam: float | np.ndarray,
-    p: int,
-    grid: int = DEFAULT_GRID,
+    segments: list[SegmentSpec], lam: float | np.ndarray, p: int
 ) -> TuningBounds:
     """Compute the tuning diagnostics alpha_ell, C_L and kappa_L.
 
@@ -174,16 +175,17 @@ def theory_tuning_bounds(
         Per-multipole L1 penalty levels, >= 0.
     p : int
         Autoregressive order (must match the segments).
-    grid : int
-        Frequency grid size used for the mu_max extrema.
 
     Notes
     -----
     alpha_ell = (1/2) min_k C_{ell;Z}^(k) / max_k mu_max(phi_ell^(k));
     C_L = max{48, 32 p} max{C_Phi, 1} max_k sum_ell max{q_ell^(k), 1}
-    lam_ell^2 / alpha_ell, with C_Phi the largest squared coefficient
-    norm across segments and multipoles; kappa_L is the smallest jump
-    size over consecutive segment pairs.
+    lam_ell^2 / alpha_ell, with q_ell^(k) the number of non-zero lags,
+    C_Phi the largest squared coefficient norm across segments and
+    multipoles; kappa_L is the smallest jump size over consecutive
+    segment pairs. mu_max is taken over the ``DEFAULT_GRID``-point
+    frequency grid of ``stability_measures``, for all segments and
+    multipoles in one evaluation.
     """
     if not segments:
         raise ValueError("need at least one segment")
@@ -191,35 +193,24 @@ def theory_tuning_bounds(
     for seg in segments:
         if seg.p != p or seg.L != L:
             raise ValueError("all segments must share the given p and L")
-        if not check_causality(seg.coeffs).all():
-            raise ValueError("all segments must be causal")
+    phi = np.stack([seg.coeffs.phi for seg in segments])  # (K, L, p)
+    if not check_causality(ArCoefficients(p=p, phi=phi.reshape(-1, p))).all():
+        raise ValueError("all segments must be causal")
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim == 0:
         lam_arr = np.full(L, float(lam_arr))
     if lam_arr.shape != (L,) or (lam_arr < 0).any():
         raise ValueError("lam must be a scalar or a length-L vector with entries >= 0")
 
-    mu_max = np.array(
-        [
-            max(stability_measures(seg.coeffs.phi[ell], 1.0, grid).mu_max for seg in segments)
-            for ell in range(L)
-        ]
-    )
+    nu = np.linspace(-np.pi, np.pi, DEFAULT_GRID)
+    mu_max = _char_poly_sq_modulus(phi, nu).max(axis=(0, 2))
     c_min = np.stack([seg.noise_spectrum for seg in segments]).min(axis=0)
     alpha = 0.5 * c_min / mu_max
 
-    c_phi = max(float((seg.coeffs.phi**2).sum(axis=1).max()) for seg in segments)
-    per_segment = [
-        float(
-            np.sum(
-                np.maximum([seg.coeffs.sparsity_index(ell) for ell in range(L)], 1)
-                * lam_arr**2
-                / alpha
-            )
-        )
-        for seg in segments
-    ]
-    c_l = max(48.0, 32.0 * p) * max(c_phi, 1.0) * max(per_segment)
+    c_phi = float((phi**2).sum(axis=2).max())
+    q = np.count_nonzero(phi, axis=2)
+    per_segment = (np.maximum(q, 1) * lam_arr**2 / alpha).sum(axis=1)
+    c_l = max(48.0, 32.0 * p) * max(c_phi, 1.0) * float(per_segment.max())
 
     kappa = None
     if len(segments) >= 2:

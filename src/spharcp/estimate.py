@@ -315,34 +315,6 @@ class IntervalLossEngine:
         )
 
 
-def lasso_fit_interval(
-    series: CoefficientSeries,
-    s: int,
-    e: int,
-    ell: int,
-    p: int,
-    lam_ell: float,
-) -> np.ndarray:
-    """L1-penalized AR(p) fit of multipole ell on the interval [s, e].
-
-    Minimizes the residual sum over t = s+p..e and all m, plus
-    ``lam_ell * sqrt(N_I (2 ell + 1)) ||phi||_1`` with N_I = e - s - p + 1,
-    exactly (threshold lam*sqrt(.)/2 since the data term is the plain
-    residual sum, not half of it). Served by ``IntervalLossEngine``, so it
-    equals the engine's ``phi[ell]`` bitwise.
-    """
-    if not 0 <= ell < series.L:
-        raise ValueError(f"ell={ell} outside 0..{series.L - 1}")
-    if e - s < p:
-        raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
-    if not 1 <= s <= e <= series.n:
-        raise ValueError(f"interval [{s}, {e}] outside 1..{series.n}")
-    if lam_ell < 0:
-        raise ValueError("lam_ell must be >= 0")
-    config = DetectorConfig(p=p, L=ell + 1, lam=lam_ell, delta=p + 1)
-    return IntervalLossEngine(series, config).fit(s, e).phi[ell]
-
-
 @dataclass(frozen=True)
 class SegmentFit:
     """Unpenalized per-segment fit with anisotropic intercepts.

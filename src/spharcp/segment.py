@@ -14,7 +14,9 @@ block at every LASSO penalty lambda at once, and the losses do not depend
 on gamma, so ``detect_grid`` runs one recursion for a whole (lambda,
 gamma) grid: each block is fitted once and updates one Bellman row per
 (lambda, gamma). ``detect`` is that recursion at the single lambda and
-gamma of its config.
+gamma of its config. The same recursion serves every series length: when
+n < 2 delta its only admissible start is 1, so it returns the single
+segment, with its Bellman table and a warning.
 """
 
 from __future__ import annotations
@@ -51,16 +53,17 @@ class DetectionResult:
     """Detected partition with per-segment fits and diagnostics.
 
     ``jumps`` holds the multipole-weighted squared coefficient distances
-    between consecutive fitted segments; ``warning`` is set when the
-    series was too short for two admissible segments and the single
-    full-range segment was returned instead.
+    between consecutive fitted segments; ``dp`` is the Bellman table of
+    the run, present for every series length; ``warning`` is set when the
+    series was too short for two admissible segments (n < 2 delta), so the
+    single full-range segment was the only partition.
     """
 
     partition: Partition
     fits: tuple[IntervalFit, ...]
     objective: float
     config: DetectorConfig
-    dp: DpTable | None = None
+    dp: DpTable
     warning: str | None = None
 
     @property
@@ -89,8 +92,10 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     -------
     DetectionResult
         If the series is shorter than two admissible segments
-        (n < 2 delta), the single-segment partition is returned with a
-        warning instead of failing.
+        (n < 2 delta), the recursion's only admissible start is 1: the
+        single-segment partition comes back with its DP table and a
+        warning instead of failing. A series of n <= p timestamps cannot
+        be fitted and raises ``ValueError``.
     """
     return detect_grid(series, config, (config.lam,), (config.gamma,))[0]
 
@@ -123,20 +128,6 @@ def detect_grid(
     engine = IntervalLossEngine(series, config, lams)
     n_gammas = len(gammas)
 
-    if n < 2 * delta:
-        fits = [engine.fit(1, n, i) for i in range(len(engine.lams))]
-        return tuple(
-            DetectionResult(
-                partition=Partition(n=n, change_points=()),
-                fits=(fits[r // n_gammas],),
-                objective=fits[r // n_gammas].loss + cfg.gamma,
-                config=cfg,
-                warning=f"series length {n} < 2*delta = {2 * delta}; "
-                "returned the single-segment partition",
-            )
-            for r, cfg in enumerate(configs)
-        )
-
     shape = (len(configs), n + 1)
     best = np.full(shape, math.inf)
     best[:, 0] = 0.0
@@ -147,10 +138,11 @@ def detect_grid(
     # the Bellman rows of lambda i, one per gamma
     rows_by_lam = [rows[i : i + n_gammas] for i in range(0, len(rows), n_gammas)]
     # The prefixes that admit a partition are 0 and delta.., so the
-    # admissible starts of e are 1 and delta+1..e-delta+1.
+    # admissible starts of e are 1 and delta+1..e-delta+1: only 1 when
+    # n < 2 delta, and a series shorter than delta ends its one segment at n.
     starts = np.concatenate(([1], np.arange(delta + 1, n - delta + 2)))
-    m0 = delta - 1
-    for e0 in range(delta, n + 1, engine.block):
+    m0 = min(delta, n) - 1
+    for e0 in range(m0 + 1, n + 1, engine.block):
         e1 = min(e0 + engine.block - 1, n)
         _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
         losses = rss.sum(axis=-1)
@@ -171,10 +163,16 @@ def detect_grid(
                     row_nseg[e] = row_nseg[prev[i]] + 1
                     row_back[e] = s[i]
 
+    warning = None
+    if n < 2 * delta:
+        warning = (
+            f"series length {n} < 2*delta = {2 * delta}; "
+            "returned the single-segment partition"
+        )
     # the final fits, shared by the rows that end on the same segments
     fits: dict[tuple[int, int, int], IntervalFit] = {}
     return tuple(
-        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r], fits)
+        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r], fits, warning)
         for r, cfg in enumerate(configs)
     )
 
@@ -187,6 +185,7 @@ def _traceback(
     back: np.ndarray,
     nseg: np.ndarray,
     fits: dict[tuple[int, int, int], IntervalFit],
+    warning: str | None,
 ) -> DetectionResult:
     """Read the optimal partition off one Bellman row and fit its segments
     at the engine's lambda ``lam_index``, reusing and adding to ``fits``,
@@ -211,6 +210,7 @@ def _traceback(
         objective=float(best[n]),
         config=config,
         dp=DpTable(best_cost=best, back_pointer=back, n_segments=nseg),
+        warning=warning,
     )
 
 

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's internal code paths:
 dense design matrices are built by direct indexing, partitions by
-exhaustive recursion, and set distances by double loops.
+exhaustive recursion, and set distances by double loops. ``interval_phi``
+is the one call-through: it reads one multipole's row off the library's
+interval fit, for the tests that check that fit against the oracles.
 """
 
 from __future__ import annotations
@@ -10,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spharcp.types import ArCoefficients, CoefficientSeries, Partition, SegmentSpec
+from spharcp.estimate import IntervalLossEngine
+from spharcp.types import (
+    ArCoefficients,
+    CoefficientSeries,
+    DetectorConfig,
+    Partition,
+    SegmentSpec,
+)
 from spharcp.simulate import ScenarioSpec, simulate
 
 
@@ -70,6 +79,18 @@ def ols_rss(series: CoefficientSeries, s: int, e: int, ell: int, p: int) -> floa
     sol, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ sol
     return float(resid @ resid)
+
+
+def interval_phi(
+    series: CoefficientSeries, s: int, e: int, ell: int, p: int, lam: float
+) -> np.ndarray:
+    """The library's L1-penalized AR(p) fit of multipole ell on [s, e].
+
+    ``IntervalLossEngine.fit`` at penalty ``lam`` over multipoles 0..ell,
+    row ``ell`` of its ``phi``.
+    """
+    config = DetectorConfig(p=p, L=ell + 1, lam=lam, delta=p + 1)
+    return IntervalLossEngine(series, config).fit(s, e).phi[ell]
 
 
 def soft_threshold(x, thr):

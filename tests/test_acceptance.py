@@ -11,7 +11,6 @@ import numpy as np
 
 from spharcp.bench import run_bench, run_tuning_grid
 from spharcp.diagnostics import theory_tuning_bounds
-from spharcp.estimate import lasso_fit_interval
 from spharcp.evaluate import aggregate, hausdorff_scaled
 from spharcp.segment import detect
 from spharcp.simulate import scenario_epidemic, scenario_table1
@@ -22,6 +21,7 @@ from conftest import (
     ar1_series,
     dense_design,
     hausdorff_double_loop,
+    interval_phi,
     ols_fit,
     random_series,
     soft_threshold,
@@ -133,7 +133,7 @@ def test_criterion_6_lasso_oracles():
         ell = int(rng.integers(0, 3))
         s = int(rng.integers(1, 60))
         e = int(rng.integers(s + p + 3, 81))
-        fit = lasso_fit_interval(series, s, e, ell, p, lam_ell=0.0)
+        fit = interval_phi(series, s, e, ell, p, lam=0.0)
         worst_ols = max(worst_ols, float(np.abs(fit - ols_fit(series, s, e, ell, p)).max()))
 
     worst_soft = 0.0
@@ -147,7 +147,7 @@ def test_criterion_6_lasso_oracles():
         r = float(x[:, 0] @ y)
         n_eff = e - s
         closed = soft_threshold(r, lam * math.sqrt(n_eff * (2 * ell + 1)) / 2) / g
-        fit = lasso_fit_interval(series, s, e, ell, 1, lam_ell=lam)
+        fit = interval_phi(series, s, e, ell, 1, lam=lam)
         worst_soft = max(worst_soft, abs(fit[0] - closed))
 
     ok = worst_ols <= 1e-6 and worst_soft <= 1e-10

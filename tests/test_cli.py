@@ -218,6 +218,15 @@ def test_detect_on_simulated_benchmark_scenario(tmp_path):
     assert abs(cps[0] - 100) <= 5
 
 
+def test_detect_series_no_longer_than_p_exits_2(tmp_path, capsys):
+    coeffs = tmp_path / "short.csv"
+    write_coefficients(coeffs, CoefficientSeries(n=2, L=1, data=np.ones((2, 1))))
+    result_path = tmp_path / "result.json"
+    assert main(["detect", "--in", str(coeffs), "--out", str(result_path), "--p", "2"]) == 2
+    assert "too short to fit AR(2)" in capsys.readouterr().err
+    assert not result_path.exists()
+
+
 def test_detect_overflowing_series_exits_4_without_a_result(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "table1-balanced", "q": 8, "d": 2, "seed": 4}))

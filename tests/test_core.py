@@ -297,6 +297,29 @@ class TestTheoryTuningBounds:
         with pytest.raises(ValueError):
             theory_tuning_bounds([spec_from_phi([1.2])], lam=0.0, p=1)
 
+    def test_p2_matches_per_segment_stability_measures(self):
+        # a zero lag and a zero row exercise q_ell = 1 and the floor max{q, 1}
+        segs = [
+            spec_from_phi([[0.5, -0.2], [0.3, 0.0], [0.0, 0.0]], noise=[1.0, 0.7, 0.4]),
+            spec_from_phi([[-0.4, 0.1], [0.6, -0.3], [0.2, 0.2]], noise=[0.8, 0.9, 0.5]),
+            spec_from_phi([[0.1, 0.1], [-0.5, 0.2], [0.0, -0.6]], noise=[1.2, 0.6, 0.3]),
+        ]
+        lam = np.array([0.4, 1.0, 2.5])
+        tb = theory_tuning_bounds(segs, lam=lam, p=2)
+        mu_max = [max(stability_measures(s.coeffs.phi[ell], 1.0).mu_max for s in segs)
+                  for ell in range(3)]
+        c_min = [min(s.noise_spectrum[ell] for s in segs) for ell in range(3)]
+        alpha = [0.5 * c / mu for c, mu in zip(c_min, mu_max)]
+        c_phi = max(float(phi @ phi) for s in segs for phi in s.coeffs.phi)
+        worst = max(
+            sum(max(np.count_nonzero(s.coeffs.phi[ell]), 1) * lam[ell] ** 2 / alpha[ell]
+                for ell in range(3))
+            for s in segs
+        )
+        assert tb.alpha.tolist() == pytest.approx(alpha, rel=1e-12)
+        assert tb.C_L == pytest.approx(64.0 * max(c_phi, 1.0) * worst, rel=1e-12)
+        assert tb.kappa_L == min(jump_size(a, b) for a, b in zip(segs, segs[1:]))
+
 
 def test_noise_ratio_report():
     a = spec_from_phi([0.1, 0.1], noise=[1.0, 0.5])

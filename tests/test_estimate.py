@@ -11,7 +11,6 @@ from spharcp.estimate import (
     IntervalLossEngine,
     _lasso_solve,
     fit_segment_with_intercept,
-    lasso_fit_interval,
     mean_surface,
     per_time_products,
 )
@@ -20,6 +19,7 @@ from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
 from conftest import (
     ar1_series,
     dense_design,
+    interval_phi,
     ols_fit,
     ols_rss,
     random_series,
@@ -98,7 +98,7 @@ class TestLassoFitInterval:
             ell = int(rng.integers(0, 3))
             s = int(rng.integers(1, 40))
             e = int(rng.integers(s + p + 3, 61))
-            fit = lasso_fit_interval(series, s, e, ell, p, lam_ell=0.0)
+            fit = interval_phi(series, s, e, ell, p, lam=0.0)
             oracle = ols_fit(series, s, e, ell, p)
             assert np.abs(fit - oracle).max() <= 1e-6
 
@@ -113,17 +113,17 @@ class TestLassoFitInterval:
             g = float(x[:, 0] @ x[:, 0])
             r = float(x[:, 0] @ y)
             expected = soft_threshold(r, penalty_scale(lam, s, e, ell, 1) / 2) / g
-            fit = lasso_fit_interval(series, s, e, ell, 1, lam_ell=lam)
+            fit = interval_phi(series, s, e, ell, 1, lam=lam)
             assert fit[0] == pytest.approx(expected, abs=1e-10)
 
     def test_recovers_ar_coefficient(self):
         series = ar1_series(n=4000, L=1, phi=0.9, c_noise=1.0, seed=31)
-        fit = lasso_fit_interval(series, 1, 4000, 0, 1, lam_ell=0.0)
+        fit = interval_phi(series, 1, 4000, 0, 1, lam=0.0)
         assert fit[0] == pytest.approx(0.9, abs=0.02)
 
     def test_large_penalty_zeroes_solution(self):
         series = random_series(n=50, L=1, seed=2)
-        fit = lasso_fit_interval(series, 1, 50, 0, 2, lam_ell=1e6)
+        fit = interval_phi(series, 1, 50, 0, 2, lam=1e6)
         assert np.array_equal(fit, [0.0, 0.0])
 
     def test_kkt_conditions_at_convergence(self, rng):
@@ -133,7 +133,7 @@ class TestLassoFitInterval:
             p = int(rng.integers(1, 4))
             s, e = 5, 65
             lam = float(rng.uniform(0.1, 2.0))
-            fit = lasso_fit_interval(series, s, e, ell, p, lam_ell=lam)
+            fit = interval_phi(series, s, e, ell, p, lam=lam)
             y, x = dense_design(series, s, e, ell, p)
             grad = 2.0 * (x.T @ x @ fit - x.T @ y)
             scale = penalty_scale(lam, s, e, ell, p)
@@ -226,7 +226,7 @@ class TestLassoFitInterval:
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)
         with pytest.raises(ValueError):
-            lasso_fit_interval(series, 5, 6, 0, 2, lam_ell=0.0)
+            interval_phi(series, 5, 6, 0, 2, lam=0.0)
 
 
 class TestIntervalLoss:
@@ -290,7 +290,7 @@ class TestIntervalLoss:
             assert a.loss == b.loss
             assert np.array_equal(a.phi, b.phi)
             for ell in range(2):
-                single = lasso_fit_interval(series, 3, 30, ell, p, lam_ell=0.2)
+                single = interval_phi(series, 3, 30, ell, p, lam=0.2)
                 assert np.array_equal(single, a.phi[ell])
 
     @pytest.mark.parametrize("p, lam", [(1, 0.0), (2, 0.3)])

@@ -134,11 +134,9 @@ def assert_same_result(got, want):
     assert got.change_points == want.change_points
     assert got.objective == want.objective
     assert got.warning == want.warning
-    assert (got.dp is None) == (want.dp is None)
-    if want.dp is not None:
-        assert np.array_equal(got.dp.best_cost, want.dp.best_cost)
-        assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
-        assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
+    assert np.array_equal(got.dp.best_cost, want.dp.best_cost)
+    assert np.array_equal(got.dp.back_pointer, want.dp.back_pointer)
+    assert np.array_equal(got.dp.n_segments, want.dp.n_segments)
     assert len(got.fits) == len(want.fits)
     for a, b in zip(got.fits, want.fits):
         assert a.interval == b.interval
@@ -271,21 +269,47 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
     result = detect(series, config)
     ref = IntervalLossEngine(series, config)
     if n < 2 * config.delta:
-        fit = ref.fit(1, n)
-        assert result.dp is None and result.warning is not None
-        assert result.objective == fit.loss + config.gamma
+        assert result.warning is not None
     else:
-        block = IntervalLossEngine(series, config).block
         n_ends = n - config.delta + 1
-        assert block < n_ends and n_ends % block != 0
-        best, nseg, back = fresh_bellman(series, config)
-        assert result.dp.best_cost.tolist() == best
-        assert result.dp.n_segments.tolist() == nseg
-        assert result.dp.back_pointer.tolist() == back
-        assert result.objective == best[n]
+        assert ref.block < n_ends and n_ends % ref.block != 0
+    best, nseg, back = fresh_bellman(series, config)
+    assert result.dp.best_cost.tolist() == best
+    assert result.dp.n_segments.tolist() == nseg
+    assert result.dp.back_pointer.tolist() == back
+    assert result.objective == best[n]
     for got in result.fits:
         want = ref.fit(*got.interval)
         assert np.array_equal(got.phi, want.phi) and np.array_equal(got.rss, want.rss)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_short_series_take_the_one_recursion(p):
+    # n < 2 delta admits start 1 only; n < delta ends the one segment at n
+    delta = 5
+    for n in (p + 1, delta - 1, delta, 2 * delta - 1):
+        series = random_series(n=n, L=3, seed=95 + n)
+        config = DetectorConfig(p=p, L=3, lam=0.3, gamma=3.0, delta=delta)
+        result = detect(series, config)
+        fit = IntervalLossEngine(series, config).fit(1, n)
+        assert result.change_points == ()
+        assert [f.interval for f in result.fits] == [(1, n)]
+        assert same_bits(result.fits[0].phi, fit.phi)
+        assert result.warning == (
+            f"series length {n} < 2*delta = {2 * delta}; "
+            "returned the single-segment partition"
+        )
+        assert same_bits(result.objective, fit.loss + config.gamma)
+        assert result.dp.best_cost.shape == (n + 1,)
+        assert same_bits(result.dp.best_cost[n], result.objective)
+        assert (result.dp.back_pointer[n], result.dp.n_segments[n]) == (1, 1)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_series_no_longer_than_p_cannot_be_fitted(p):
+    series = random_series(n=p, L=2, seed=97)
+    with pytest.raises(ValueError, match="too short to fit"):
+        detect(series, DetectorConfig(p=p, L=2, delta=5))
 
 
 def ar2_series(n=120, L=10, seed=1):
