@@ -197,6 +197,7 @@ def cmd_detect(args) -> int:
 
 
 def _summary_row(scenario: str, lam, gamma, delta, records) -> dict:
+    """One row of ``aggregate.csv``: its keys, in order, are the file's columns."""
     summary = aggregate(records)
     row = {
         "scenario": scenario,
@@ -206,21 +207,17 @@ def _summary_row(scenario: str, lam, gamma, delta, records) -> dict:
         "reps": summary.n_records,
         "mean_D": summary.mean_hausdorff,
         "sd_D": summary.sd_hausdorff,
-        "khat_hist": ";".join(f"{k}:{v}" for k, v in summary.khat_hist.items()),
     }
     for idx in range(2):
         mean = summary.rho_mean[idx] if idx < len(summary.rho_mean) else None
         sd = summary.rho_sd[idx] if idx < len(summary.rho_sd) else None
         row[f"rho_mean_{idx + 1}"] = mean
         row[f"rho_sd_{idx + 1}"] = sd
+    row["khat_hist"] = ";".join(f"{k}:{v}" for k, v in summary.khat_hist.items())
     return row
 
 
 def cmd_bench(args) -> int:
-    if args.scenario not in SCENARIO_IDS:
-        raise ConfigError(
-            f"unknown scenario {args.scenario!r}; expected one of {SCENARIO_IDS}"
-        )
     out_dir = Path(args.out)
     started = time.perf_counter()
 
@@ -242,10 +239,6 @@ def cmd_bench(args) -> int:
         grouped = run_tuning_grid(
             args.q, args.d, args.reps, args.seed, lams, gammas, args.delta, args.threads
         )
-        rows = [
-            _summary_row(args.scenario, lam, gamma, args.delta, records)
-            for (lam, gamma), records in grouped.items()
-        ]
     else:
         lam = args.lam
         config_echo["lambda"] = lam if np.ndim(lam) == 0 else list(lam)
@@ -258,7 +251,10 @@ def cmd_bench(args) -> int:
             args.scenario, args.q, args.d, args.reps, args.seed, detector, args.threads
         )
         grouped = {(lam, args.gamma): records}
-        rows = [_summary_row(args.scenario, lam, args.gamma, args.delta, records)]
+    rows = [
+        _summary_row(args.scenario, lam, gamma, args.delta, records)
+        for (lam, gamma), records in grouped.items()
+    ]
 
     # Created only now, so a rejected setting leaves no directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)

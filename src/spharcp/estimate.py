@@ -12,7 +12,9 @@ ends at once (``IntervalLossEngine.fit_block``): one cumulative sum over
 a slice of one sliding-window view of the time-reversed products gives
 the moments of every interval in the block, and one exact LASSO solve
 fits them all at every penalty lambda of the engine, so a tuning sweep
-pays for the moments once per block whatever the number of lambdas.
+pays for the moments once per block whatever the number of lambdas. The
+solve returns each fit's objective, and the residual sum is read off it
+in closed form: syy + objective - 2 thr ||phi||_1.
 """
 
 from __future__ import annotations
@@ -66,17 +68,18 @@ def _moment_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return c_idx, g_idx
 
 
-def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
+def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
     Solves independent problems laid out coordinate-major: ``gram[j][k]``
     and ``corr[j]`` are arrays of one row shape (a (p, p, ...) and a
     (p, ...) array, or lists of such arrays), ``thr`` broadcasts with that
     shape (a leading lambda axis solves every penalty at once, sharing the
-    LDL' factors), and phi comes back as (p,) + the broadcast shape. Some
-    minimizer has a nonsingular active Gram block (Tibshirani 2013, "The
-    lasso problem and uniqueness"), so the minimum is among the candidates
-    that solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
+    LDL' factors). Returns phi, (p,) + the broadcast shape, and ``best``,
+    its objective (0 where phi = 0), of the broadcast shape. Some minimizer
+    has a nonsingular active Gram block (Tibshirani 2013, "The lasso
+    problem and uniqueness"), so the minimum is among the candidates that
+    solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
     support A and sign vector sigma on A; such a candidate has objective
     -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
     whose pivots must all be > 0. The least candidate objective wins, by
@@ -166,7 +169,7 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> np.ndarray:
                     np.copyto(phi, 0.0, where=better)
                     for j, a in enumerate(A):
                         np.copyto(phi[a], x[j][i], where=better)
-    return phi
+    return phi, best
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,9 @@ class IntervalLossEngine:
         # each lambda is validated as the config's lam would be
         lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
         n, L, p = series.n, config.L, config.p
-        sign_rows = 1 << (p if lam.any() else 1)
+        # at lambda = 0 everywhere the rss needs no ||phi||_1 term (fit_block)
+        self._penalized = bool(lam.any())
+        sign_rows = 1 << (p if self._penalized else 1)
         self.block = max(1, _BLOCK_ROWS // (L * n * sign_rows))
         prod = per_time_products(series, p, L)
         # column j holds time n - j; the NaN tail lets every window of a block fit
@@ -250,9 +255,11 @@ class IntervalLossEngine:
         self._c_idx, self._g_idx = _moment_indices(config.p)
         # Every interval's moments, and a partition's loss summed over
         # multipoles, are bounded by the running total over multipoles of
-        # the sums over t of the products' absolute values. The rss terms
-        # 2 corr'phi and phi'G phi reach 4 syy (the fit's objective is at
-        # most 0's), so the fits stay finite while 4 times that total does.
+        # the sums over t of the products' absolute values. The rss is
+        # syy + best - 2 thr ||phi||_1 >= 0, and the fit's objective best is
+        # at most 0's, so |best| <= syy and 2 thr ||phi||_1 <= syy: each
+        # term, and each partial sum, stays within 2 syy, and the fits stay
+        # finite while 4 times that total does.
         with np.errstate(over="ignore", invalid="ignore"):
             total = 4.0 * np.abs(prod[p:]).sum(axis=0).cumsum(axis=0)
         bad = np.flatnonzero(~np.isfinite(total).all(axis=-1))
@@ -269,10 +276,14 @@ class IntervalLossEngine:
         by [lambda, e - e0, m - m0] for the Λ = ``len(lams)`` penalties and
         B = e1 - e0 + 1 <= ``block`` ends. Where e - m < 1 (only for
         e < e1) the interval starts before the series and its ``rss`` is
-        NaN. The moments of [s, e] are a suffix sum of the product rows
-        t = s+p..e, accumulated from t = e down, so each fit reads only the
-        data in [s, e] and is bitwise the same whichever block, and
-        whichever other lambdas, compute it.
+        NaN. The solve's kept candidate solves G_AA x = corr_A - thr sigma,
+        so phi'G phi = corr'phi - thr ||phi||_1: the rss
+        syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the solve's
+        objective ``best`` as syy + best - 2 thr ||phi||_1, with no last
+        term when every lambda is 0. The moments of [s, e] are a suffix sum
+        of the product rows t = s+p..e, accumulated from t = e down, so each
+        fit reads only the data in [s, e] and is bitwise the same whichever
+        block, and whichever other lambdas, compute it.
         """
         p, L = self.config.p, self.config.L
         n = self.series.n
@@ -289,17 +300,14 @@ class IntervalLossEngine:
         corr = [moments[c] for c in self._c_idx]
         gram = [[moments[g] for g in row] for row in self._g_idx]
         thr = self._thr[:, :, None, m0 - p : m1 - p + 1]
-        phi = _lasso_solve(gram, corr, thr)
-        cross = np.zeros(phi.shape[1:])
-        quad = np.zeros(phi.shape[1:])
-        for j in range(p):
-            cross += corr[j] * phi[j]
-            for k in range(p):
-                quad += phi[j] * gram[j][k] * phi[k]
+        phi, best = _lasso_solve(gram, corr, thr)
+        fitted = syy + best
+        if self._penalized:
+            fitted -= 2.0 * thr * np.abs(phi).sum(axis=0)
         # multipole innermost, so a loss sums rss in the order of rss.sum()
-        n_lam, _, n_ends, n_spans = cross.shape
+        n_lam, _, n_ends, n_spans = best.shape
         rss = np.empty((n_lam, n_ends, n_spans, L))
-        np.maximum(syy - 2.0 * cross + quad, 0.0, out=rss.transpose(0, 3, 1, 2))
+        np.maximum(fitted, 0.0, out=rss.transpose(0, 3, 1, 2))
         return phi.transpose(1, 3, 4, 2, 0), rss
 
     def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:

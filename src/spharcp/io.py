@@ -331,24 +331,14 @@ def _csv_cell(value) -> str:
 
 
 def write_aggregate_csv(path, config: dict, rows: list[dict]) -> None:
-    """Plot-ready aggregate table, one row per detector setting."""
-    header = [
-        "scenario",
-        "lambda",
-        "gamma",
-        "delta",
-        "reps",
-        "mean_D",
-        "sd_D",
-        "rho_mean_1",
-        "rho_sd_1",
-        "rho_mean_2",
-        "rho_sd_2",
-        "khat_hist",
-    ]
-    lines = [CONFIG_PREFIX + _dumps_config(config), ",".join(header)]
+    """Plot-ready aggregate table, one row per detector setting.
+
+    ``rows`` is non-empty and every row has the same keys in the same
+    order; the first row's keys are the header.
+    """
+    lines = [CONFIG_PREFIX + _dumps_config(config), ",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in header))
+        lines.append(",".join(_csv_cell(value) for value in row.values()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

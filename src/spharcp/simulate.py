@@ -199,15 +199,17 @@ def _step_program(spec: ScenarioSpec) -> list[tuple[int, int, bool, bool]]:
 def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     """Generate the coefficient series described by a scenario.
 
-    Each (ell, m) component is an AR(p) recursion whose coefficients and
-    innovation variance switch at the change points; the series starts
-    from ``burn_in`` discarded warm-up steps of the first segment's
-    dynamics. One recursion steps all L*L slots at once: the per-slot
-    ``phi`` and ``sqrt(noise_spectrum)`` of a segment are its multipole
-    values repeated 2*ell+1 times, and each step adds the lag terms one
-    at a time in lag order, then the innovation. No BLAS call is made,
-    so the output bits do not depend on the BLAS build, and a fixed
-    spec always gives the same series.
+    Each (ell, m) component is an AR(p) recursion whose coefficients,
+    intercept and innovation variance switch at the change points; the
+    series starts from ``burn_in`` discarded warm-up steps of the first
+    segment's dynamics. One recursion steps all L*L slots at once: the
+    per-slot ``phi`` and ``sqrt(noise_spectrum)`` of a segment are its
+    multipole values repeated 2*ell+1 times, and each step adds the lag
+    terms one at a time in lag order, then the segment's per-slot
+    ``intercept`` when it has one (a segment without one is centered),
+    then the innovation. No BLAS call is made, so the output bits do not
+    depend on the BLAS build, and a fixed spec always gives the same
+    series.
     """
     program = _step_program(spec)
     total = sum(count for count, _, _, _ in program)
@@ -225,12 +227,15 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
             hist[:] = 0.0
         segment = spec.segments[k]
         phi = np.repeat(segment.coeffs.phi.T, widths, axis=1)  # phi[j-1] = lag-j weight per slot
+        mu = segment.intercept  # per slot, or None
         block = noise[pos : pos + count]  # innovations, overwritten row by row by the path
         block *= np.repeat(np.sqrt(segment.noise_spectrum), widths)
         for z in block:
             lags = phi[0] * hist[0]
             for j in range(1, spec.p):
                 lags += phi[j] * hist[j]
+            if mu is not None:
+                lags += mu
             z += lags
             hist[1:] = hist[:-1]
             hist[0] = z

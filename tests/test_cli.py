@@ -375,7 +375,10 @@ def test_bench_two_replicates(tmp_path):
     assert len(records) == 2
     assert records[0]["seed"] == 7 and records[1]["seed"] == 8
     agg = (out_dir / "aggregate.csv").read_text().splitlines()
-    assert agg[1].startswith("scenario,")
+    assert agg[1] == (
+        "scenario,lambda,gamma,delta,reps,mean_D,sd_D,"
+        "rho_mean_1,rho_sd_1,rho_mean_2,rho_sd_2,khat_hist"
+    )
     assert len(agg) == 3
 
 

@@ -14,7 +14,14 @@ from spharcp.estimate import (
     mean_surface,
     per_time_products,
 )
-from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
+from spharcp.simulate import ScenarioSpec, simulate
+from spharcp.types import (
+    ArCoefficients,
+    CoefficientSeries,
+    DetectorConfig,
+    Partition,
+    SegmentSpec,
+)
 
 from conftest import (
     ar1_series,
@@ -36,7 +43,7 @@ def enumerated_lasso_solve(gram, corr, thr):
     ``_lasso_solve`` tries there. Same square-root-free LDL', same
     elementwise steps and same strict < as ``_lasso_solve``, on the same
     coordinate-major layout: gram (p, p, ...), corr (p, ...), with thr
-    broadcasting against a row.
+    broadcasting against a row. Returns ``(phi, best)``, as ``_lasso_solve``.
     """
     p = len(corr)
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
@@ -82,7 +89,7 @@ def enumerated_lasso_solve(gram, corr, thr):
                     np.copyto(phi, 0.0, where=better)
                     for j, a in enumerate(A):
                         np.copyto(phi[a], x[j][i], where=better)
-    return phi
+    return phi, best
 
 
 def penalty_scale(lam, s, e, ell, p):
@@ -148,7 +155,7 @@ class TestLassoFitInterval:
         x = rng.standard_normal((40, 3))
         x[:, 2] = x[:, 0] + 1e-3 * rng.standard_normal(40)
         y = rng.standard_normal(40)
-        phi = _lasso_solve((x.T @ x)[:, :, None], (x.T @ y)[:, None], np.zeros(1))[:, 0]
+        phi = _lasso_solve((x.T @ x)[:, :, None], (x.T @ y)[:, None], np.zeros(1))[0][:, 0]
         _, (oracle,), _, _ = np.linalg.lstsq(x, y, rcond=None)
         assert float(((y - x @ phi) ** 2).sum()) == pytest.approx(oracle, rel=1e-12)
 
@@ -162,12 +169,18 @@ class TestLassoFitInterval:
             gram[0, 0, 3] = 0.0
             thr = rng.uniform(0.0, 3.0, 30)
             corr[0, 4], corr[0, 5] = thr[4], -thr[5]
-            batch = _lasso_solve(gram, corr, thr)
+            batch, batch_best = _lasso_solve(gram, corr, thr)
             for r in range(30):
-                alone = _lasso_solve(gram[:, :, r : r + 1], corr[:, r : r + 1], thr[r : r + 1])
+                alone, alone_best = _lasso_solve(
+                    gram[:, :, r : r + 1], corr[:, r : r + 1], thr[r : r + 1]
+                )
                 assert np.array_equal(batch[:, r], alone[:, 0])
-            grid = _lasso_solve(gram.reshape(p, p, 5, 6), corr.reshape(p, 5, 6), thr.reshape(5, 6))
+                assert batch_best[r] == alone_best[0]
+            grid, grid_best = _lasso_solve(
+                gram.reshape(p, p, 5, 6), corr.reshape(p, 5, 6), thr.reshape(5, 6)
+            )
             assert np.array_equal(grid.reshape(p, 30), batch)
+            assert np.array_equal(grid_best.reshape(30), batch_best)
             assert batch[0, 3] == 0.0
             if p == 1:
                 g = gram[0, 0]
@@ -191,9 +204,10 @@ class TestLassoFitInterval:
         gram[0, :, 4:6] = gram[:, 0, 4:6] = 0.0
         gram[0, :, 8] = gram[:, 0, 8] = 0.0
         corr[0, 4], corr[0, 5], corr[0, 8] = thr[4] + 1.0, -thr[5] - 1.0, 2.0
-        got = _lasso_solve(gram, corr, thr)
-        want = enumerated_lasso_solve(gram, corr, thr)
+        got, got_best = _lasso_solve(gram, corr, thr)
+        want, want_best = enumerated_lasso_solve(gram, corr, thr)
         assert np.array_equal(got, want)
+        assert same_bits(got_best, want_best)
         assert np.isfinite(got).all()
         assert (got[0, [4, 5, 8]] == 0.0).all()
         if p == 1:  # soft(corr, thr) / g is 0 at |corr| <= thr
@@ -212,13 +226,16 @@ class TestLassoFitInterval:
         # non-finite rows: a NaN correlation, an infinite cross moment
         corr[-1, 15] = np.nan
         gram[0, -1, 16] = gram[-1, 0, 16] = np.inf
-        got = _lasso_solve(gram, corr, thr)
-        want = enumerated_lasso_solve(gram, corr, thr)
+        got, got_best = _lasso_solve(gram, corr, thr)
+        want, want_best = enumerated_lasso_solve(gram, corr, thr)
         assert same_bits(got, want)
+        assert same_bits(got_best, want_best)
         # the same rows in a call that enumerates every sign vector
         mixed = thr.copy()
         mixed[-1] = 1.0
-        assert same_bits(_lasso_solve(gram, corr, mixed)[:, :-1], got[:, :-1])
+        mixed_phi, mixed_best = _lasso_solve(gram, corr, mixed)
+        assert same_bits(mixed_phi[:, :-1], got[:, :-1])
+        assert same_bits(mixed_best[:-1], got_best[:-1])
         assert np.isfinite(got).all()
         assert (got[-1, 13:15] == 0.0).all()
         assert (got[:-1, 13:15] == 1.0 / np.arange(1, p)[:, None]).all()
@@ -248,6 +265,25 @@ class TestIntervalLoss:
             fit = IntervalLossEngine(series, self.config(L=2, p=p)).fit(s, e)
             oracle = sum(ols_rss(series, s, e, ell, p) for ell in range(2))
             assert fit.loss == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_penalized_rss_matches_dense_residuals(self, rng, p):
+        # the rss read off the solve's objective, 2 thr ||phi||_1 term included,
+        # is the residual sum of squares at the returned penalized phi
+        series = ar1_series(n=80, L=3, phi=0.5, c_noise=1.0, seed=37)
+        active = 0
+        for lam in (0.3, 1.0, 2.5):
+            engine = IntervalLossEngine(series, self.config(L=3, lam=lam, p=p))
+            for _ in range(5):
+                s = int(rng.integers(1, 50))
+                e = int(rng.integers(s + p + 6, 81))
+                fit = engine.fit(s, e)
+                for ell in range(3):
+                    y, x = dense_design(series, s, e, ell, p)
+                    resid = y - x @ fit.phi[ell]
+                    assert fit.rss[ell] == pytest.approx(resid @ resid, rel=1e-9)
+                active += np.count_nonzero(fit.phi)
+        assert active > 0
 
     def test_loss_is_sum_of_rss(self):
         series = random_series(n=50, L=3, seed=8)
@@ -339,7 +375,9 @@ class TestIntervalLoss:
             IntervalLossEngine(huge, self.config(L=2))
 
     def test_overflowing_rss_terms_fail_loudly(self):
-        # finite moments whose 2 corr'phi overflows would clamp the loss to 0
+        # syy of 1.2e308 is finite but 4 syy is not: the engine refuses the
+        # series rather than rely on the rss terms syy + best and
+        # 2 thr ||phi||_1 (each within 2 syy) staying finite
         data = ar1_series(n=30, L=1, phi=0.99, c_noise=1.0, seed=3).data
         data = data * np.sqrt(1.2e308 / np.sum(data[1:] ** 2))
         huge = CoefficientSeries(n=30, L=1, data=data)
@@ -384,6 +422,24 @@ class TestFitSegmentWithIntercept:
         fit = fit_segment_with_intercept(series, 1, n, p=1, L=1)
         assert fit.mu[0] == pytest.approx(mu_true, abs=0.15)
         assert fit.coeffs.phi[0, 0] == pytest.approx(phi_true, abs=0.05)
+
+    def test_recovers_intercept_of_simulated_scenario(self):
+        # mu = 5, phi = 0.5 in every slot: the series' mean is mu / (1 - phi) = 10
+        n, L = 2000, 2
+        segment = SegmentSpec(
+            coeffs=ArCoefficients(p=1, phi=np.full((L, 1), 0.5)),
+            noise_spectrum=np.ones(L),
+            intercept=np.full(L * L, 5.0),
+        )
+        spec = ScenarioSpec(n=n, L=L, p=1, partition=Partition(n=n), segments=(segment,), seed=4)
+        series = simulate(spec)
+        # the sample mean's standard error is 2 / sqrt(n) = 0.045; mu's, about
+        # the mean times phi's standard error sqrt(0.75 / n), is up to 0.19
+        assert series.data.mean(axis=0) == pytest.approx(np.full(L * L, 10.0), abs=0.25)
+        fit = fit_segment_with_intercept(series, 1, n, p=1, L=L)
+        assert fit.coeffs.phi[:, 0] == pytest.approx([0.5, 0.5], abs=0.05)
+        assert fit.mu == pytest.approx(np.full(L * L, 5.0), abs=0.5)
+        assert mean_surface(fit.mu, fit.coeffs) == pytest.approx(np.full(L * L, 10.0), abs=0.25)
 
     def test_shares_phi_across_m_within_multipole(self):
         series = random_series(n=60, L=2, seed=10)

@@ -219,7 +219,8 @@ def replay_stream(spec, ell, m):
     Draws the stream's own substream, runs the burn-in and every segment
     in order (re-warming from zero at each change point under
     ``junction="restart"``), and forms each value as the lag terms added
-    one at a time in lag order plus the scaled innovation.
+    one at a time in lag order, plus the segment's intercept when it has
+    one, plus the scaled innovation.
     """
     slot = ell * ell + ell + m
     blocks = [(spec.burn_in, 0, False, False)]
@@ -237,10 +238,13 @@ def replay_stream(spec, ell, m):
             hist = [0.0] * spec.p
         phi = [float(v) for v in spec.segments[k].coeffs.phi[ell]]
         sigma = math.sqrt(float(spec.segments[k].noise_spectrum[ell]))
+        intercept = spec.segments[k].intercept
         for _ in range(count):
             acc = phi[0] * hist[0]
             for j in range(1, spec.p):
                 acc += phi[j] * hist[j]
+            if intercept is not None:
+                acc += float(intercept[slot])
             val = acc + sigma * draws[pos]
             hist = [val] + hist[:-1]
             if emit:
@@ -264,26 +268,32 @@ REPLAY_PHI = {
     ),
 }
 REPLAY_NOISE = ([1.0, 0.5, 0.25], [0.3, 2.0, 0.7], [1.5, 0.1, 0.9])
+# per-slot intercepts of the first and last segments; the middle one is centered
+REPLAY_INTERCEPT = (np.linspace(-2.0, 3.0, 9), None, np.linspace(4.0, -1.5, 9))
 
 
 @pytest.mark.parametrize("junction", ["continue", "restart"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_simulate_matches_scalar_replay_bitwise(p, junction):
     L, n = 3, 45
-    spec = ScenarioSpec(
-        n=n,
-        L=L,
-        p=p,
-        partition=Partition(n=n, change_points=(16, 31)),
-        segments=tuple(
-            SegmentSpec(coeffs=ArCoefficients(p=p, phi=phi), noise_spectrum=np.array(c))
-            for phi, c in zip(REPLAY_PHI[p], REPLAY_NOISE)
-        ),
-        burn_in=40,
-        seed=29,
-        junction=junction,
-    )
-    series = simulate(spec)
-    for ell in range(L):
-        for m in range(-ell, ell + 1):
-            assert np.array_equal(series.stream(ell, m), replay_stream(spec, ell, m)), (ell, m)
+    for intercepts in ((None, None, None), REPLAY_INTERCEPT):
+        spec = ScenarioSpec(
+            n=n,
+            L=L,
+            p=p,
+            partition=Partition(n=n, change_points=(16, 31)),
+            segments=tuple(
+                SegmentSpec(
+                    coeffs=ArCoefficients(p=p, phi=phi), noise_spectrum=np.array(c), intercept=mu
+                )
+                for phi, c, mu in zip(REPLAY_PHI[p], REPLAY_NOISE, intercepts)
+            ),
+            burn_in=40,
+            seed=29,
+            junction=junction,
+        )
+        series = simulate(spec)
+        for ell in range(L):
+            for m in range(-ell, ell + 1):
+                want = replay_stream(spec, ell, m)
+                assert np.array_equal(series.stream(ell, m), want), (ell, m, intercepts)
