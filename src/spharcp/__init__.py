@@ -1,5 +1,6 @@
 """Change point detection for piecewise-stationary spherical autoregressions."""
 
+from spharcp.bench import make_scenario
 from spharcp.diagnostics import (
     StabilityMeasures,
     TuningBounds,
@@ -28,13 +29,7 @@ from spharcp.evaluate import (
     hausdorff_scaled,
 )
 from spharcp.segment import DetectionResult, DpTable, detect, detect_grid, objective_of
-from spharcp.simulate import (
-    ScenarioSpec,
-    build_beta,
-    scenario_epidemic,
-    scenario_table1,
-    simulate,
-)
+from spharcp.simulate import ScenarioSpec, build_beta, simulate
 from spharcp.types import (
     ArCoefficients,
     CoefficientSeries,
@@ -74,11 +69,10 @@ __all__ = [
     "fit_segment_with_intercept",
     "hausdorff_scaled",
     "jump_size",
+    "make_scenario",
     "mean_surface",
     "noise_ratio",
     "objective_of",
-    "scenario_epidemic",
-    "scenario_table1",
     "simulate",
     "slot_index",
     "spectral_density",

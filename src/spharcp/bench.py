@@ -1,7 +1,12 @@
 """Replicated benchmark runs of the named synthetic scenarios.
 
-Replicate r uses seed ``base_seed + r`` and runs independently, so
-results are bit-reproducible regardless of worker count.
+``SCENARIOS`` is the one table of named scenarios: an AR(1) series on
+``SCENARIO_L`` multipoles whose segments alternate between two regimes.
+Every bench run is a (lambda, gamma) grid: a replicate simulates one
+series and scores one ``detect_grid`` pass at every setting, and a
+single setting is a 1 x 1 grid. Replicate r uses seed ``base_seed + r``
+and runs independently, so results are bit-reproducible regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -11,19 +16,25 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from spharcp.errors import ConfigError
 from spharcp.evaluate import BenchRecord, assign_to_truth, hausdorff_scaled
-from spharcp.segment import detect, detect_grid
-from spharcp.simulate import (
-    DEFAULT_BURN_IN,
-    ScenarioSpec,
-    scenario_epidemic,
-    scenario_table1,
-    simulate,
-)
-from spharcp.types import DetectorConfig
+from spharcp.segment import detect_grid
+from spharcp.simulate import DEFAULT_BURN_IN, ScenarioSpec, build_beta, simulate
+from spharcp.types import ArCoefficients, DetectorConfig, Partition, SegmentSpec
 
-SCENARIO_IDS = ("table1-balanced", "table1-unbalanced", "epidemic", "tuning-grid")
+SCENARIO_L = 10
+
+# id -> (n, change points). Table 1 has one break, at relative location
+# 0.5 or 0.25; the epidemic's second break reverts to the first regime.
+SCENARIOS = {
+    "table1-balanced": (200, (100,)),
+    "table1-unbalanced": (200, (50,)),
+    "epidemic": (225, (75, 150)),
+}
+SCENARIOS["tuning-grid"] = SCENARIOS["epidemic"]
+SCENARIO_IDS = tuple(SCENARIOS)
 
 TUNING_LAMBDAS = (0.0, 1.0)
 TUNING_GAMMAS = (100.0, 200.0, 300.0)
@@ -66,58 +77,84 @@ def make_scenario(
     burn_in: int = DEFAULT_BURN_IN,
     junction: str = "continue",
 ) -> ScenarioSpec:
-    """Instantiate a named benchmark scenario for one replicate seed."""
-    if scenario_id == "table1-balanced":
-        return scenario_table1("balanced", q, d, seed, burn_in, junction)
-    if scenario_id == "table1-unbalanced":
-        return scenario_table1("unbalanced", q, d, seed, burn_in, junction)
-    if scenario_id in ("epidemic", "tuning-grid"):
-        return scenario_epidemic(q, d, seed, burn_in, junction)
-    raise ConfigError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
+    """Instantiate a named benchmark scenario for one replicate seed.
 
-
-def _record(
-    scenario_id: str, spec: ScenarioSpec, est_cps: tuple[int, ...], runtime: float
-) -> BenchRecord:
-    truth = spec.partition.change_points
-    return BenchRecord(
-        scenario=scenario_id,
-        seed=spec.seed,
-        true_cps=truth,
-        est_cps=est_cps,
-        n=spec.n,
-        hausdorff=hausdorff_scaled(est_cps, truth, spec.n),
-        assigned=assign_to_truth(est_cps, truth),
-        runtime=runtime,
+    The segments alternate between two regimes: coefficients -beta with
+    the base noise spectrum 1, 1/(ell(ell+1)), then +beta with the
+    reduced one 0.5, 0.5/(2 ell(ell+1)), where beta is
+    ``build_beta(q, d, SCENARIO_L)``.
+    """
+    try:
+        n, change_points = SCENARIOS[scenario_id]
+    except KeyError:
+        raise ConfigError(
+            f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}"
+        ) from None
+    beta = build_beta(q, d, SCENARIO_L)
+    ells = np.arange(1, SCENARIO_L, dtype=float)
+    base = np.concatenate(([1.0], 1.0 / (ells * (ells + 1.0))))
+    reduced = np.concatenate(([0.5], 0.5 / (2.0 * ells * (ells + 1.0))))
+    regimes = (
+        SegmentSpec(coeffs=ArCoefficients(p=1, phi=-beta[:, None]), noise_spectrum=base),
+        SegmentSpec(coeffs=ArCoefficients(p=1, phi=beta[:, None]), noise_spectrum=reduced),
     )
+    return ScenarioSpec(
+        n=n,
+        L=SCENARIO_L,
+        p=1,
+        partition=Partition(n=n, change_points=change_points),
+        segments=tuple(regimes[k % 2] for k in range(len(change_points) + 1)),
+        burn_in=burn_in,
+        seed=seed,
+        junction=junction,
+    )
+
+
+def run_grid_replicate(
+    scenario_id: str,
+    q: int,
+    d: float,
+    seed: int,
+    config: DetectorConfig,
+    lams: tuple,
+    gammas: tuple[float, ...],
+) -> dict[tuple, BenchRecord]:
+    """One replicate: a single simulated series, detected and scored at
+    every (lambda, gamma) of ``lams`` x ``gammas``.
+
+    One ``detect_grid`` pass serves every setting, so every record's
+    runtime is the wall time of that single pass. Records are keyed by
+    (lambda, gamma), in ``itertools.product(lams, gammas)`` order.
+    """
+    spec = make_scenario(scenario_id, q, d, seed)
+    series = simulate(spec)
+    start = time.perf_counter()
+    results = detect_grid(series, config, lams, gammas)
+    runtime = time.perf_counter() - start
+    truth = spec.partition.change_points
+    return {
+        key: BenchRecord(
+            scenario=scenario_id,
+            seed=seed,
+            true_cps=truth,
+            est_cps=result.change_points,
+            n=spec.n,
+            hausdorff=hausdorff_scaled(result.change_points, truth, spec.n),
+            assigned=assign_to_truth(result.change_points, truth),
+            runtime=runtime,
+        )
+        for key, result in zip(itertools.product(lams, gammas), results)
+    }
 
 
 def run_replicate(
     scenario_id: str, q: int, d: float, seed: int, detector: DetectorConfig
 ) -> BenchRecord:
-    """Simulate one replicate, detect, and score it."""
-    spec = make_scenario(scenario_id, q, d, seed)
-    series = simulate(spec)
-    start = time.perf_counter()
-    result = detect(series, detector)
-    runtime = time.perf_counter() - start
-    return _record(scenario_id, spec, result.change_points, runtime)
-
-
-def run_bench(
-    scenario_id: str,
-    q: int,
-    d: float,
-    reps: int,
-    base_seed: int,
-    detector: DetectorConfig,
-    threads: int | None = None,
-) -> list[BenchRecord]:
-    """Run ``reps`` replicates of one scenario at a single detector setting."""
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
-    jobs = [(scenario_id, q, d, base_seed + r, detector) for r in range(reps)]
-    return _map(run_replicate, jobs, threads)
+    """Simulate one replicate, detect at the detector's setting, and score it."""
+    (record,) = run_grid_replicate(
+        scenario_id, q, d, seed, detector, (detector.lam,), (detector.gamma,)
+    ).values()
+    return record
 
 
 def run_tuning_replicate(
@@ -128,46 +165,37 @@ def run_tuning_replicate(
     gammas: tuple[float, ...],
     delta: int,
 ) -> dict[tuple[float, float], BenchRecord]:
-    """One replicate of the tuning sweep: a single simulated series,
-    detected under every (lambda, gamma) combination.
-
-    One ``detect_grid`` pass serves every (lambda, gamma); every record's
-    runtime is the wall time of that single pass.
-    """
-    spec = make_scenario("tuning-grid", q, d, seed)
-    series = simulate(spec)
-    cfg = DetectorConfig(p=spec.p, L=spec.L, delta=delta)
-    start = time.perf_counter()
-    results = detect_grid(series, cfg, lams, gammas)
-    runtime = time.perf_counter() - start
-    return {
-        key: _record("tuning-grid", spec, result.change_points, runtime)
-        for key, result in zip(itertools.product(lams, gammas), results)
-    }
+    """One replicate of the tuning sweep on the ``tuning-grid`` scenario."""
+    config = DetectorConfig(p=1, L=SCENARIO_L, delta=delta)
+    return run_grid_replicate("tuning-grid", q, d, seed, config, lams, gammas)
 
 
-def run_tuning_grid(
+def run_grid(
+    scenario_id: str,
     q: int,
     d: float,
     reps: int,
     base_seed: int,
-    lams: tuple[float, ...] = TUNING_LAMBDAS,
-    gammas: tuple[float, ...] = TUNING_GAMMAS,
-    delta: int = 5,
+    config: DetectorConfig,
+    lams: tuple,
+    gammas: tuple[float, ...],
     threads: int | None = None,
-) -> dict[tuple[float, float], list[BenchRecord]]:
-    """Tuning sweep over (lambda, gamma) on a fixed replicate set.
+) -> dict[tuple, list[BenchRecord]]:
+    """``reps`` replicates of a scenario at every (lambda, gamma) of the grid.
 
-    A repeated lambda or gamma would collapse two settings into one
-    result key, so it is a ``ConfigError``.
+    ``config`` gives p, L and delta; each setting replaces its lambda and
+    gamma. Returns the records of each (lambda, gamma), in replicate
+    order. A repeated lambda or gamma would collapse two settings into
+    one result key, so it is a ``ConfigError``.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     for name, values in (("lambda", lams), ("gamma", gammas)):
         if len(set(values)) < len(values):
             raise ConfigError(f"repeated {name} value in the sweep {tuple(values)}")
-    jobs = [(q, d, base_seed + r, tuple(lams), tuple(gammas), delta) for r in range(reps)]
-    per_rep = _map(run_tuning_replicate, jobs, threads)
-    return {
-        key: [rep[key] for rep in per_rep] for key in per_rep[0]
-    }
+    jobs = [
+        (scenario_id, q, d, base_seed + r, config, tuple(lams), tuple(gammas))
+        for r in range(reps)
+    ]
+    per_rep = _map(run_grid_replicate, jobs, threads)
+    return {key: [rep[key] for rep in per_rep] for key in per_rep[0]}

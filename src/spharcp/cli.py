@@ -17,11 +17,11 @@ import numpy as np
 from spharcp import io as sio
 from spharcp.bench import (
     SCENARIO_IDS,
+    SCENARIO_L,
     TUNING_GAMMAS,
     TUNING_LAMBDAS,
     make_scenario,
-    run_bench,
-    run_tuning_grid,
+    run_grid,
 )
 from spharcp.diagnostics import theory_tuning_bounds
 from spharcp.errors import ConfigError, DegenerateFitError, ParseError
@@ -232,25 +232,17 @@ def cmd_bench(args) -> int:
     }
 
     if args.scenario == "tuning-grid":
-        lams = args.sweep_lambda
-        gammas = args.sweep_gamma
+        lams, gammas = args.sweep_lambda, args.sweep_gamma
         config_echo["sweep_lambda"] = list(lams)
         config_echo["sweep_gamma"] = list(gammas)
-        grouped = run_tuning_grid(
-            args.q, args.d, args.reps, args.seed, lams, gammas, args.delta, args.threads
-        )
     else:
-        lam = args.lam
-        config_echo["lambda"] = lam if np.ndim(lam) == 0 else list(lam)
+        lams, gammas = (args.lam,), (args.gamma,)
+        config_echo["lambda"] = args.lam if np.ndim(args.lam) == 0 else list(args.lam)
         config_echo["gamma"] = args.gamma
-        spec = make_scenario(args.scenario, args.q, args.d, args.seed)
-        detector = DetectorConfig(
-            p=spec.p, L=spec.L, lam=lam, gamma=args.gamma, delta=args.delta
-        )
-        records = run_bench(
-            args.scenario, args.q, args.d, args.reps, args.seed, detector, args.threads
-        )
-        grouped = {(lam, args.gamma): records}
+    config = DetectorConfig(p=1, L=SCENARIO_L, delta=args.delta)
+    grouped = run_grid(
+        args.scenario, args.q, args.d, args.reps, args.seed, config, lams, gammas, args.threads
+    )
     rows = [
         _summary_row(args.scenario, lam, gamma, args.delta, records)
         for (lam, gamma), records in grouped.items()

@@ -131,11 +131,6 @@ def coefficient_jump(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
 
 def jump_size(spec_a: SegmentSpec, spec_b: SegmentSpec) -> float:
     """Multipole-weighted squared distance between two segments' AR parameters."""
-    if spec_a.p != spec_b.p or spec_a.L != spec_b.L:
-        raise ValueError(
-            f"segment shapes differ: (p={spec_a.p}, L={spec_a.L}) vs "
-            f"(p={spec_b.p}, L={spec_b.L})"
-        )
     return coefficient_jump(spec_a.coeffs.phi, spec_b.coeffs.phi)
 
 
@@ -194,8 +189,6 @@ def theory_tuning_bounds(
         if seg.p != p or seg.L != L:
             raise ValueError("all segments must share the given p and L")
     phi = np.stack([seg.coeffs.phi for seg in segments])  # (K, L, p)
-    if not check_causality(ArCoefficients(p=p, phi=phi.reshape(-1, p))).all():
-        raise ValueError("all segments must be causal")
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim == 0:
         lam_arr = np.full(L, float(lam_arr))

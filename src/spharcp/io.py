@@ -199,7 +199,6 @@ def _segment_from_json(obj: dict, p: int) -> SegmentSpec:
 def write_truth(path, spec: ScenarioSpec, scenario_meta: dict | None = None) -> None:
     """Write the true partition and segment models of a simulated series."""
     doc = {
-        "kind": "spharcp-truth",
         "n": spec.n,
         "L": spec.L,
         "p": spec.p,
@@ -210,7 +209,11 @@ def write_truth(path, spec: ScenarioSpec, scenario_meta: dict | None = None) -> 
         "junction": spec.junction,
         "scenario": scenario_meta,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, "spharcp-truth", doc)
+
+
+def _write_json(path, kind: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps({"kind": kind, **doc}, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
@@ -268,8 +271,7 @@ def detector_config_to_json(config: DetectorConfig) -> dict:
 
 
 def write_result(path, doc: dict) -> None:
-    doc = {"kind": "spharcp-result", **doc}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, "spharcp-result", doc)
 
 
 def read_result(path) -> dict:
@@ -277,8 +279,7 @@ def read_result(path) -> dict:
 
 
 def write_metrics(path, doc: dict) -> None:
-    doc = {"kind": "spharcp-metrics", **doc}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, "spharcp-metrics", doc)
 
 
 def read_metrics(path) -> dict:
@@ -302,7 +303,6 @@ def record_to_json(record) -> dict:
 def write_bench_records(path, config: dict, grouped_records: dict) -> None:
     """Per-replicate records of a bench run, grouped by (lambda, gamma)."""
     doc = {
-        "kind": "spharcp-bench",
         "config": config,
         "runs": [
             {
@@ -313,7 +313,7 @@ def write_bench_records(path, config: dict, grouped_records: dict) -> None:
             for (lam, gamma), records in grouped_records.items()
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, "spharcp-bench", doc)
 
 
 def read_bench_records(path) -> dict:

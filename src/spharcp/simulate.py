@@ -1,5 +1,9 @@
 """Synthetic piecewise-stationary SPHAR(p) coefficient series.
 
+A ``ScenarioSpec`` is the full recipe of one series; ``simulate`` turns
+it into the series. The named benchmark scenarios are built by
+``bench.make_scenario`` from ``build_beta``.
+
 Every (ell, m) stream draws from its own RNG substream keyed by
 (seed, slot), so output is deterministic, independent of evaluation
 order, and stable under extending L. The AR recursion runs over all
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spharcp.diagnostics import check_causality
-from spharcp.types import ArCoefficients, CoefficientSeries, Partition, SegmentSpec
+from spharcp.types import CoefficientSeries, Partition, SegmentSpec
 
 DEFAULT_BURN_IN = 500
 
@@ -31,7 +34,8 @@ class ScenarioSpec:
     partition : Partition
         True change points.
     segments : list of SegmentSpec
-        One model per segment (K + 1 entries), all causal.
+        One model per segment (K + 1 entries); ``SegmentSpec`` already
+        rejects a non-causal one.
     burn_in : int
         Warm-up steps discarded before t = 1 (and after each restart
         when ``junction="restart"``).
@@ -64,8 +68,6 @@ class ScenarioSpec:
         for seg in self.segments:
             if seg.p != self.p or seg.L != self.L:
                 raise ValueError("segment spec shape differs from scenario (p, L)")
-            if not check_causality(seg.coeffs).all():
-                raise ValueError("non-causal segment in scenario")
         if self.partition.min_spacing <= self.p:
             raise ValueError(
                 f"minimal segment spacing {self.partition.min_spacing} must exceed p={self.p}"
@@ -91,99 +93,6 @@ def build_beta(q: int, d: float, L: int) -> np.ndarray:
     beta = 0.9 * (ells + 1.0) ** (-1.0 / (8.0 - d))
     beta[q:] = 0.0
     return beta
-
-
-def _noise_base(L: int) -> np.ndarray:
-    """First-regime noise spectrum: 1 at ell=0, then 1/(ell(ell+1))."""
-    c = np.empty(L)
-    c[0] = 1.0
-    ells = np.arange(1, L, dtype=float)
-    c[1:] = 1.0 / (ells * (ells + 1.0))
-    return c
-
-
-def _noise_reduced(L: int) -> np.ndarray:
-    """Second-regime noise spectrum: 0.5 at ell=0, then 0.5/(2 ell(ell+1))."""
-    c = np.empty(L)
-    c[0] = 0.5
-    ells = np.arange(1, L, dtype=float)
-    c[1:] = 0.5 / (2.0 * ells * (ells + 1.0))
-    return c
-
-
-def _segment(beta_signed: np.ndarray, noise: np.ndarray) -> SegmentSpec:
-    return SegmentSpec(
-        coeffs=ArCoefficients(p=1, phi=beta_signed.reshape(-1, 1)),
-        noise_spectrum=noise,
-    )
-
-
-def scenario_table1(
-    variant: str,
-    q: int,
-    d: float,
-    seed: int,
-    burn_in: int = DEFAULT_BURN_IN,
-    junction: str = "continue",
-) -> ScenarioSpec:
-    """Single change point benchmark: n=200, L=10, AR(1).
-
-    ``variant="balanced"`` places the change point at t=100 (relative
-    location 0.5), ``"unbalanced"`` at t=50 (location 0.25). The first
-    regime uses coefficients -beta with the base noise spectrum, the
-    second +beta with the reduced spectrum.
-    """
-    if variant not in ("balanced", "unbalanced"):
-        raise ValueError("variant must be 'balanced' or 'unbalanced'")
-    n, L = 200, 10
-    eta = 100 if variant == "balanced" else 50
-    beta = build_beta(q, d, L)
-    segments = (
-        _segment(-beta, _noise_base(L)),
-        _segment(+beta, _noise_reduced(L)),
-    )
-    return ScenarioSpec(
-        n=n,
-        L=L,
-        p=1,
-        partition=Partition(n=n, change_points=(eta,)),
-        segments=segments,
-        burn_in=burn_in,
-        seed=seed,
-        junction=junction,
-    )
-
-
-def scenario_epidemic(
-    q: int,
-    d: float,
-    seed: int,
-    burn_in: int = DEFAULT_BURN_IN,
-    junction: str = "continue",
-) -> ScenarioSpec:
-    """Two change point benchmark: n=225, breaks at t=75 and t=150.
-
-    The model parameters revert after the second change point, so the
-    outer segments share coefficients -beta and the base noise spectrum
-    while the middle segment uses +beta with the reduced spectrum.
-    """
-    n, L = 225, 10
-    beta = build_beta(q, d, L)
-    segments = (
-        _segment(-beta, _noise_base(L)),
-        _segment(+beta, _noise_reduced(L)),
-        _segment(-beta, _noise_base(L)),
-    )
-    return ScenarioSpec(
-        n=n,
-        L=L,
-        p=1,
-        partition=Partition(n=n, change_points=(75, 150)),
-        segments=segments,
-        burn_in=burn_in,
-        seed=seed,
-        junction=junction,
-    )
 
 
 def _step_program(spec: ScenarioSpec) -> list[tuple[int, int, bool, bool]]:

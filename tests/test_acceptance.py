@@ -9,11 +9,10 @@ import math
 
 import numpy as np
 
-from spharcp.bench import run_bench, run_tuning_grid
+from spharcp.bench import make_scenario, run_grid
 from spharcp.diagnostics import theory_tuning_bounds
 from spharcp.evaluate import aggregate, hausdorff_scaled
 from spharcp.segment import detect
-from spharcp.simulate import scenario_epidemic, scenario_table1
 from spharcp.types import DetectorConfig
 
 from conftest import (
@@ -30,7 +29,16 @@ from test_segment import brute_force_minimum
 
 BASE_SEED = 20250801
 REPS = 30
-BENCH_DETECTOR = DetectorConfig(p=1, L=10, lam=0.0, gamma=300.0, delta=5)
+BENCH_CONFIG = DetectorConfig(p=1, L=10, delta=5)
+
+
+def paper_records(scenario_id: str) -> list:
+    """REPS replicates of a paper scenario at lambda 0, gamma 300."""
+    grid = run_grid(
+        scenario_id, q=8, d=2, reps=REPS, base_seed=BASE_SEED, config=BENCH_CONFIG,
+        lams=(0.0,), gammas=(300.0,),
+    )
+    return grid[(0.0, 300.0)]
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -39,10 +47,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_single_change_point_balanced():
-    records = run_bench(
-        "table1-balanced", q=8, d=2, reps=REPS, base_seed=BASE_SEED,
-        detector=BENCH_DETECTOR,
-    )
+    records = paper_records("table1-balanced")
     summary = aggregate(records)
     rho = summary.rho_mean[0]
     ok = rho is not None and 0.485 <= rho <= 0.515 and summary.mean_hausdorff <= 0.01
@@ -54,10 +59,7 @@ def test_criterion_1_single_change_point_balanced():
 
 
 def test_criterion_2_single_change_point_unbalanced():
-    records = run_bench(
-        "table1-unbalanced", q=8, d=2, reps=REPS, base_seed=BASE_SEED,
-        detector=BENCH_DETECTOR,
-    )
+    records = paper_records("table1-unbalanced")
     summary = aggregate(records)
     rho = summary.rho_mean[0]
     ok = rho is not None and 0.235 <= rho <= 0.265 and summary.mean_hausdorff <= 0.01
@@ -69,9 +71,7 @@ def test_criterion_2_single_change_point_unbalanced():
 
 
 def test_criterion_3_epidemic_two_change_points():
-    records = run_bench(
-        "epidemic", q=8, d=2, reps=REPS, base_seed=BASE_SEED, detector=BENCH_DETECTOR
-    )
+    records = paper_records("epidemic")
     summary = aggregate(records)
     frac_k2 = sum(1 for r in records if r.k_hat == 2) / len(records)
     rho1, rho2 = summary.rho_mean
@@ -92,8 +92,9 @@ def test_criterion_3_epidemic_two_change_points():
 
 def test_criterion_4_tuning_monotonicity():
     gammas = (100.0, 200.0, 300.0)
-    grid = run_tuning_grid(
-        q=8, d=2, reps=20, base_seed=BASE_SEED, lams=(0.0, 1.0), gammas=gammas
+    grid = run_grid(
+        "tuning-grid", q=8, d=2, reps=20, base_seed=BASE_SEED, config=BENCH_CONFIG,
+        lams=(0.0, 1.0), gammas=gammas,
     )
     detail = []
     ok = True
@@ -209,10 +210,10 @@ def test_theory_bounds_finite_on_benchmark_scenarios():
     # on every benchmark scenario, at both penalty levels used in them
     oks = []
     for spec in (
-        scenario_table1("balanced", 8, 2, 0),
-        scenario_table1("unbalanced", 8, 2, 0),
-        scenario_table1("balanced", 2, 4, 0),
-        scenario_epidemic(8, 2, 0),
+        make_scenario("table1-balanced", 8, 2, 0),
+        make_scenario("table1-unbalanced", 8, 2, 0),
+        make_scenario("table1-balanced", 2, 4, 0),
+        make_scenario("epidemic", 8, 2, 0),
     ):
         for lam in (0.0, 1.0):
             tb = theory_tuning_bounds(list(spec.segments), lam=lam, p=spec.p)

@@ -4,10 +4,12 @@ import pytest
 
 from spharcp.bench import (
     THREADS_ENV_VAR,
+    TUNING_GAMMAS,
+    TUNING_LAMBDAS,
     make_scenario,
     resolve_threads,
-    run_bench,
-    run_tuning_grid,
+    run_grid,
+    run_replicate,
     run_tuning_replicate,
 )
 from spharcp.errors import ConfigError
@@ -17,10 +19,18 @@ from spharcp.types import DetectorConfig
 
 
 def test_make_scenario_ids():
-    assert make_scenario("table1-balanced", 8, 2, 0).partition.change_points == (100,)
-    assert make_scenario("table1-unbalanced", 8, 2, 0).partition.change_points == (50,)
-    assert make_scenario("epidemic", 8, 2, 0).partition.change_points == (75, 150)
-    assert make_scenario("tuning-grid", 8, 2, 0).partition.change_points == (75, 150)
+    for scenario_id, n, change_points in (
+        ("table1-balanced", 200, (100,)),
+        ("table1-unbalanced", 200, (50,)),
+        ("epidemic", 225, (75, 150)),
+        ("tuning-grid", 225, (75, 150)),
+    ):
+        spec = make_scenario(scenario_id, 8, 2, 0)
+        assert (spec.n, spec.L, spec.p) == (n, 10, 1)
+        assert spec.partition.change_points == change_points
+    epidemic = simulate(make_scenario("epidemic", 8, 2, 3))
+    tuning = simulate(make_scenario("tuning-grid", 8, 2, 3))
+    assert epidemic.data.tobytes() == tuning.data.tobytes()
 
 
 def test_make_scenario_unknown_id():
@@ -50,10 +60,12 @@ def test_resolve_threads_default_positive(monkeypatch):
 
 
 def test_replicate_seeds_offset_from_base():
-    det = DetectorConfig(p=1, L=10, lam=0.0, gamma=300.0, delta=5)
-    records = run_bench(
-        "table1-balanced", 8, 2, reps=2, base_seed=40, detector=det, threads=1
+    config = DetectorConfig(p=1, L=10, delta=5)
+    grid = run_grid(
+        "table1-balanced", 8, 2, reps=2, base_seed=40, config=config,
+        lams=(0.0,), gammas=(300.0,), threads=1,
     )
+    records = grid[(0.0, 300.0)]
     assert [r.seed for r in records] == [40, 41]
     assert all(r.true_cps == (100,) for r in records)
     assert all(r.runtime > 0 for r in records)
@@ -69,17 +81,28 @@ def test_tuning_replicate_matches_a_detect_per_setting():
         config = DetectorConfig(p=spec.p, L=spec.L, lam=lam, gamma=gamma, delta=5)
         assert record.est_cps == detect(series, config).change_points
     assert len({r.est_cps for r in records.values()}) > 1
+    # run_replicate is the same path at one setting, on each paper scenario
+    config = DetectorConfig(p=1, L=10, lam=0.5, gamma=300.0, delta=5)
+    for scenario_id in ("table1-balanced", "table1-unbalanced", "epidemic"):
+        record = run_replicate(scenario_id, 8, 2, 5, config)
+        series = simulate(make_scenario(scenario_id, 8, 2, 5))
+        assert (record.scenario, record.seed) == (scenario_id, 5)
+        assert record.est_cps == detect(series, config).change_points
 
 
 @pytest.mark.parametrize("lams, gammas", [((0.0, 0.0), (100.0,)), ((0.0,), (100.0, 100.0))])
 def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
     with pytest.raises(ConfigError, match="repeated"):
-        run_tuning_grid(8, 2, reps=1, base_seed=1, lams=lams, gammas=gammas, threads=1)
+        run_grid(
+            "tuning-grid", 8, 2, reps=1, base_seed=1, config=DetectorConfig(p=1, L=10),
+            lams=lams, gammas=gammas, threads=1,
+        )
 
 
 def test_tuning_grid_same_for_any_worker_count():
-    serial = run_tuning_grid(8, 2, reps=2, base_seed=1, threads=1)
-    pooled = run_tuning_grid(8, 2, reps=2, base_seed=1, threads=2)
+    grid = ("tuning-grid", 8, 2, 2, 1, DetectorConfig(p=1, L=10), TUNING_LAMBDAS, TUNING_GAMMAS)
+    serial = run_grid(*grid, threads=1)
+    pooled = run_grid(*grid, threads=2)
     assert list(serial) == list(pooled)
     for key, records in serial.items():
         assert [r.est_cps for r in records] == [r.est_cps for r in pooled[key]]

@@ -17,7 +17,8 @@ from spharcp.io import (
     write_coefficients,
     write_truth,
 )
-from spharcp.simulate import scenario_table1, simulate
+from spharcp.bench import make_scenario
+from spharcp.simulate import simulate
 from spharcp.types import CoefficientSeries
 
 from conftest import random_series
@@ -259,7 +260,7 @@ def test_write_read_rewrite_is_exact(case):
 
 class TestTruthDocument:
     def test_truth_round_trip_rebuilds_scenario(self, tmp_path):
-        spec = scenario_table1("balanced", q=8, d=2, seed=11)
+        spec = make_scenario("table1-balanced", q=8, d=2, seed=11)
         path = tmp_path / "truth.json"
         write_truth(path, spec, scenario_meta={"scenario": "table1-balanced"})
         doc = read_truth(path)

@@ -11,7 +11,8 @@ from spharcp import estimate
 from spharcp.errors import ConfigError
 from spharcp.estimate import IntervalLossEngine
 from spharcp.segment import detect, detect_grid, objective_of
-from spharcp.simulate import ScenarioSpec, build_beta, scenario_table1, simulate
+from spharcp.bench import make_scenario
+from spharcp.simulate import ScenarioSpec, build_beta, simulate
 from spharcp.types import (
     ArCoefficients,
     CoefficientSeries,
@@ -105,7 +106,7 @@ class TestDetectBehavior:
         assert a.objective == b.objective
 
     def test_khat_nonincreasing_in_gamma(self):
-        series = simulate(scenario_table1("balanced", q=8, d=2, seed=99))
+        series = simulate(make_scenario("table1-balanced", q=8, d=2, seed=99))
         khats = []
         for gamma in (0.0, 50.0, 150.0, 400.0, 1e4, 1e12):
             config = DetectorConfig(p=1, L=10, gamma=gamma, delta=5)
@@ -113,7 +114,7 @@ class TestDetectBehavior:
         assert khats == sorted(khats, reverse=True)
 
     def test_detects_planted_change_point(self):
-        series = simulate(scenario_table1("balanced", q=8, d=2, seed=123))
+        series = simulate(make_scenario("table1-balanced", q=8, d=2, seed=123))
         config = DetectorConfig(p=1, L=10, gamma=300.0, delta=5)
         result = detect(series, config)
         assert len(result.change_points) == 1

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spharcp.simulate import (
-    ScenarioSpec,
-    build_beta,
-    scenario_epidemic,
-    scenario_table1,
-    simulate,
-)
+from spharcp.bench import make_scenario
+from spharcp.simulate import ScenarioSpec, build_beta, simulate
 from spharcp.types import ArCoefficients, Partition, SegmentSpec
 
 from conftest import ar1_series
@@ -47,25 +42,25 @@ class TestBuildBeta:
 
 class TestScenarios:
     def test_balanced_location(self):
-        spec = scenario_table1("balanced", q=8, d=2, seed=0)
+        spec = make_scenario("table1-balanced", q=8, d=2, seed=0)
         assert spec.n == 200 and spec.L == 10 and spec.p == 1
         assert spec.partition.change_points == (100,)
         assert spec.partition.change_points[0] / spec.n == 0.5
 
     def test_unbalanced_location(self):
-        spec = scenario_table1("unbalanced", q=8, d=2, seed=0)
+        spec = make_scenario("table1-unbalanced", q=8, d=2, seed=0)
         assert spec.partition.change_points == (50,)
         assert spec.partition.change_points[0] / spec.n == 0.25
 
     def test_segments_are_sign_flips(self):
-        spec = scenario_table1("balanced", q=8, d=2, seed=0)
+        spec = make_scenario("table1-balanced", q=8, d=2, seed=0)
         phi0 = spec.segments[0].coeffs.phi
         phi1 = spec.segments[1].coeffs.phi
         assert np.array_equal(phi0, -phi1)
         assert np.array_equal(phi1[:, 0], build_beta(8, 2, 10))
 
     def test_noise_spectra(self):
-        spec = scenario_table1("balanced", q=8, d=2, seed=0)
+        spec = make_scenario("table1-balanced", q=8, d=2, seed=0)
         c0 = spec.segments[0].noise_spectrum
         c1 = spec.segments[1].noise_spectrum
         assert c0[0] == 1.0
@@ -74,7 +69,7 @@ class TestScenarios:
         assert c1[3] == pytest.approx(0.5 / (2 * 3 * 4), rel=1e-12)
 
     def test_epidemic_structure(self):
-        spec = scenario_epidemic(q=8, d=2, seed=0)
+        spec = make_scenario("epidemic", q=8, d=2, seed=0)
         assert spec.n == 225
         assert spec.partition.change_points == (75, 150)
         locs = [c / spec.n for c in spec.partition.change_points]
@@ -85,10 +80,6 @@ class TestScenarios:
         )
         # boundary spacings are 74, 75 and 76; the first one binds
         assert spec.partition.min_spacing == 74
-
-    def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_table1("sideways", q=8, d=2, seed=0)
 
 
 def single_segment_spec(n, L, phi, c, seed, burn_in=500):
@@ -110,14 +101,14 @@ def single_segment_spec(n, L, phi, c, seed, burn_in=500):
 
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
-        spec = scenario_table1("balanced", q=8, d=2, seed=42)
+        spec = make_scenario("table1-balanced", q=8, d=2, seed=42)
         a = simulate(spec)
         b = simulate(spec)
         assert np.array_equal(a.data, b.data)
 
     def test_seed_changes_output(self):
-        a = simulate(scenario_table1("balanced", q=8, d=2, seed=1))
-        b = simulate(scenario_table1("balanced", q=8, d=2, seed=2))
+        a = simulate(make_scenario("table1-balanced", q=8, d=2, seed=1))
+        b = simulate(make_scenario("table1-balanced", q=8, d=2, seed=2))
         assert not np.array_equal(a.data, b.data)
 
     def test_extending_L_preserves_existing_streams(self):
@@ -158,7 +149,7 @@ class TestSimulate:
                 assert abs(np.corrcoef(streams[i], streams[j])[0, 1]) < tol
 
     def test_variance_switches_at_change_point(self):
-        spec = scenario_table1("balanced", q=1, d=2, seed=23)
+        spec = make_scenario("table1-balanced", q=1, d=2, seed=23)
         series = simulate(spec)
         # multipole 5 has phi = 0 in both segments (q=1), so the sample
         # variances reflect the two noise spectra directly
@@ -170,8 +161,8 @@ class TestSimulate:
         assert v0 / v1 == pytest.approx(c0 / c1, rel=0.25)
 
     def test_restart_junction_differs_from_continue(self):
-        base = scenario_table1("balanced", q=8, d=2, seed=3)
-        restarted = scenario_table1("balanced", q=8, d=2, seed=3, junction="restart")
+        base = make_scenario("table1-balanced", q=8, d=2, seed=3)
+        restarted = make_scenario("table1-balanced", q=8, d=2, seed=3, junction="restart")
         a = simulate(base)
         b = simulate(restarted)
         # identical until the change point, different after
