@@ -4,9 +4,10 @@
 ``SCENARIO_L`` multipoles whose segments alternate between two regimes.
 Every bench run is a (lambda, gamma) grid: a replicate simulates one
 series and scores one ``detect_grid`` pass at every setting, and a
-single setting is a 1 x 1 grid. Replicate r uses seed ``base_seed + r``
-and runs independently, so results are bit-reproducible regardless of
-worker count.
+single setting is a 1 x 1 grid; ``tuning-grid`` is the epidemic with
+its own default grid. Replicate r uses seed ``base_seed + r`` and runs
+independently, so results are bit-reproducible regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +40,9 @@ SCENARIO_IDS = tuple(SCENARIOS)
 
 TUNING_LAMBDAS = (0.0, 1.0)
 TUNING_GAMMAS = (100.0, 200.0, 300.0)
+# id -> (lambdas, gammas) of a run without --lambda / --gamma; else DEFAULT_GRID
+DEFAULT_GRIDS = {"tuning-grid": (TUNING_LAMBDAS, TUNING_GAMMAS)}
+DEFAULT_GRID = ((0.0,), (300.0,))
 
 THREADS_ENV_VAR = "SPHARCP_THREADS"
 
@@ -186,13 +191,17 @@ def run_grid(
     ``config`` gives p, L and delta; each setting replaces its lambda and
     gamma. Returns the records of each (lambda, gamma), in replicate
     order. A repeated lambda or gamma would collapse two settings into
-    one result key, so it is a ``ConfigError``.
+    one result key, so it is a ``ConfigError``. Every setting and the
+    scenario at ``base_seed`` are checked before any replicate runs.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     for name, values in (("lambda", lams), ("gamma", gammas)):
         if len(set(values)) < len(values):
-            raise ConfigError(f"repeated {name} value in the sweep {tuple(values)}")
+            raise ConfigError(f"repeated {name} value in the grid {tuple(values)}")
+    for lam, gamma in itertools.product(lams, gammas):
+        replace(config, lam=lam, gamma=gamma)
+    make_scenario(scenario_id, q, d, base_seed)
     jobs = [
         (scenario_id, q, d, base_seed + r, config, tuple(lams), tuple(gammas))
         for r in range(reps)

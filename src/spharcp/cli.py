@@ -16,10 +16,10 @@ import numpy as np
 
 from spharcp import io as sio
 from spharcp.bench import (
+    DEFAULT_GRID,
+    DEFAULT_GRIDS,
     SCENARIO_IDS,
     SCENARIO_L,
-    TUNING_GAMMAS,
-    TUNING_LAMBDAS,
     make_scenario,
     run_grid,
 )
@@ -39,13 +39,6 @@ def _parse_lambda(text: str) -> float | tuple[float, ...]:
     except ValueError as exc:
         raise ConfigError(f"bad --lambda value {text!r}: {exc}") from exc
     return parts[0] if len(parts) == 1 else tuple(parts)
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
 
 
 def _load_scenario_config(path) -> dict:
@@ -221,6 +214,9 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out)
     started = time.perf_counter()
 
+    default_lams, default_gammas = DEFAULT_GRIDS.get(args.scenario, DEFAULT_GRID)
+    lams = tuple(args.lam or default_lams)
+    gammas = tuple(args.gamma or default_gammas)
     config_echo = {
         "scenario": args.scenario,
         "q": args.q,
@@ -229,16 +225,9 @@ def cmd_bench(args) -> int:
         "base_seed": args.seed,
         "delta": args.delta,
         "threads": args.threads,
+        "lambda": [lam if np.ndim(lam) == 0 else list(lam) for lam in lams],
+        "gamma": list(gammas),
     }
-
-    if args.scenario == "tuning-grid":
-        lams, gammas = args.sweep_lambda, args.sweep_gamma
-        config_echo["sweep_lambda"] = list(lams)
-        config_echo["sweep_gamma"] = list(gammas)
-    else:
-        lams, gammas = (args.lam,), (args.gamma,)
-        config_echo["lambda"] = args.lam if np.ndim(args.lam) == 0 else list(args.lam)
-        config_echo["gamma"] = args.gamma
     config = DetectorConfig(p=1, L=SCENARIO_L, delta=args.delta)
     grouped = run_grid(
         args.scenario, args.q, args.d, args.reps, args.seed, config, lams, gammas, args.threads
@@ -250,8 +239,7 @@ def cmd_bench(args) -> int:
 
     # Created only now, so a rejected setting leaves no directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.scenario == "tuning-grid":
-        sio.write_locations_csv(out_dir / "locations.csv", config_echo, grouped)
+    sio.write_locations_csv(out_dir / "locations.csv", config_echo, grouped)
     sio.write_bench_records(out_dir / "records.json", config_echo, grouped)
     sio.write_aggregate_csv(out_dir / "aggregate.csv", config_echo, rows)
     elapsed = time.perf_counter() - started
@@ -261,7 +249,7 @@ def cmd_bench(args) -> int:
             f"mean_D={row['mean_D']:.4f} sd_D={row['sd_D']:.4f} "
             f"khat={row['khat_hist']}"
         )
-    print(f"wrote {out_dir}/records.json and {out_dir}/aggregate.csv ({elapsed:.1f}s)")
+    print(f"wrote records.json, aggregate.csv and locations.csv to {out_dir} ({elapsed:.1f}s)")
     return 0
 
 
@@ -332,19 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--q", type=int, default=8, help="sparsity level (default 8)")
     p_bench.add_argument("--d", type=float, default=2.0, help="decay parameter (default 2)")
     p_bench.add_argument(
-        "--lambda", dest="lam", type=_parse_lambda, default=0.0,
-        help="L1 penalty for single-setting scenarios",
+        "--lambda", dest="lam", type=_parse_lambda, action="append", default=None,
+        help="a grid lambda: scalar or comma list per multipole; repeat for more "
+        "(default 0; tuning-grid 0, 1)",
     )
-    p_bench.add_argument("--gamma", type=float, default=300.0, help="segment penalty")
+    p_bench.add_argument(
+        "--gamma", type=float, action="append", default=None,
+        help="a grid gamma; repeat for more (default 300; tuning-grid 100, 200, 300)",
+    )
     p_bench.add_argument("--delta", type=int, default=5)
-    p_bench.add_argument(
-        "--sweep-lambda", type=_parse_float_list, default=TUNING_LAMBDAS,
-        help="tuning-grid lambda values (comma list)",
-    )
-    p_bench.add_argument(
-        "--sweep-gamma", type=_parse_float_list, default=TUNING_GAMMAS,
-        help="tuning-grid gamma values (comma list)",
-    )
     p_bench.add_argument(
         "--threads", type=int, default=None,
         help="worker processes (default: $SPHARCP_THREADS or CPU count)",

@@ -343,7 +343,7 @@ def write_aggregate_csv(path, config: dict, rows: list[dict]) -> None:
 
 
 def write_locations_csv(path, config: dict, grouped_records: dict) -> None:
-    """Estimated change point locations behind the tuning-sweep histograms."""
+    """Estimated change point locations of a bench run, one row per location."""
     lines = [
         CONFIG_PREFIX + _dumps_config(config),
         "lambda,gamma,replicate,seed,k_hat,eta_hat,rho_hat",

@@ -74,6 +74,8 @@ class ScenarioSpec:
             )
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.junction not in ("continue", "restart"):
             raise ValueError("junction must be 'continue' or 'restart'")
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from spharcp import bench
 from spharcp.bench import (
     THREADS_ENV_VAR,
     TUNING_GAMMAS,
@@ -97,6 +98,31 @@ def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
             "tuning-grid", 8, 2, reps=1, base_seed=1, config=DetectorConfig(p=1, L=10),
             lams=lams, gammas=gammas, threads=1,
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lams": (0.0, -1.0)},
+        {"gammas": (100.0, float("nan"))},
+        {"q": 20},
+        {"d": 8.0},
+        {"base_seed": -1},
+    ],
+    ids=["lambda-negative", "gamma-nan", "q-20", "d-8", "seed-negative"],
+)
+def test_run_grid_checks_every_input_before_any_replicate(monkeypatch, bad):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the inputs were checked")
+
+    monkeypatch.setattr(bench, "_map", no_replicates)
+    kwargs = {
+        "scenario_id": "epidemic", "q": 8, "d": 2.0, "reps": 2, "base_seed": 1,
+        "config": DetectorConfig(p=1, L=10), "lams": (0.0,), "gammas": (300.0,),
+        "threads": 2, **bad,
+    }
+    with pytest.raises(ValueError):
+        run_grid(**kwargs)
 
 
 def test_tuning_grid_same_for_any_worker_count():

@@ -380,6 +380,8 @@ def test_bench_two_replicates(tmp_path):
         "rho_mean_1,rho_sd_1,rho_mean_2,rho_sd_2,khat_hist"
     )
     assert len(agg) == 3
+    assert (out_dir / "locations.csv").exists()
+    assert doc["config"]["lambda"] == [0.0] and doc["config"]["gamma"] == [300.0]
 
 
 def test_bench_reproducible_across_thread_counts(tmp_path):
@@ -411,8 +413,9 @@ def test_bench_tuning_grid_outputs(tmp_path):
             "--out", str(out_dir),
             "--reps", "1",
             "--seed", "11",
-            "--sweep-lambda", "0",
-            "--sweep-gamma", "200,300",
+            "--lambda", "0",
+            "--gamma", "200",
+            "--gamma", "300",
             "--threads", "1",
         ]
     )
@@ -426,7 +429,11 @@ def test_bench_tuning_grid_outputs(tmp_path):
 
 @pytest.mark.parametrize(
     "sweep",
-    [["--sweep-gamma", "200,200"], ["--sweep-lambda", "0,1,0"], ["--sweep-gamma", "nan"]],
+    [
+        ["--gamma", "200", "--gamma", "200"],
+        ["--lambda", "0", "--lambda", "1", "--lambda", "0"],
+        ["--gamma", "nan"],
+    ],
     ids=["gamma-repeated", "lambda-repeated", "gamma-nan"],
 )
 def test_bench_tuning_grid_bad_sweep_exits_2(tmp_path, capsys, sweep):
@@ -435,4 +442,34 @@ def test_bench_tuning_grid_bad_sweep_exits_2(tmp_path, capsys, sweep):
     assert main(argv + sweep) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def _rows_after_config(path):
+    return path.read_text().splitlines()[1:]
+
+
+def test_bench_epidemic_on_the_tuning_grid_matches_tuning_grid(tmp_path):
+    grid = ["--lambda", "0", "--lambda", "1", "--gamma", "100", "--gamma", "200", "--gamma", "300"]
+    common = ["--reps", "2", "--seed", "4"]
+    epi, tuning = tmp_path / "epi", tmp_path / "tuning"
+    assert main(["bench", "epidemic", "--out", str(epi), "--threads", "1", *common, *grid]) == 0
+    assert main(["bench", "tuning-grid", "--out", str(tuning), "--threads", "2", *common]) == 0
+    epi_rows, tuning_rows = (
+        [row.split(",", 1) for row in _rows_after_config(d / "aggregate.csv")]
+        for d in (epi, tuning)
+    )
+    assert len(epi_rows) == 1 + 6
+    assert [rest for _, rest in epi_rows] == [rest for _, rest in tuning_rows]
+    assert {scenario for scenario, _ in epi_rows[1:]} == {"epidemic"}
+    assert _rows_after_config(epi / "locations.csv") == _rows_after_config(
+        tuning / "locations.csv"
+    )
+
+
+def test_bench_old_sweep_syntax_is_a_per_multipole_lambda(tmp_path, capsys):
+    out_dir = tmp_path / "tuning"
+    argv = ["bench", "tuning-grid", "--out", str(out_dir), "--reps", "1", "--threads", "1"]
+    assert main(argv + ["--lambda", "0,0.5,1"]) == 2
+    assert "lam must be scalar or length L=10" in capsys.readouterr().err
     assert not out_dir.exists()
