@@ -8,7 +8,9 @@ the unpenalized residual sum at the penalized estimate.
 All interval computations reduce to per-timestamp cross products summed
 over m, so a fit touches exactly the data inside its interval. The
 dynamic program asks for the losses of a block of consecutive segment
-ends at once (``IntervalLossEngine.fit_block``): one cumulative sum over
+ends at once (``IntervalLossEngine.fit_block``), each block holding as
+many ends as its intervals' solver rows allow (``blocks``), so the early
+ends, which have few admissible spans, share a call. One cumulative sum over
 a slice of one sliding-window view of the time-reversed products gives
 the moments of every interval in the block, and one exact LASSO solve
 fits them all at every penalty lambda of the engine, so a tuning sweep
@@ -20,7 +22,8 @@ in closed form: syy + objective - 2 thr ||phi||_1.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,13 +92,15 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and with thr >= 0 at most one holds, for sigma = sign(corr_a).
 
     When every entry of ``thr`` is 0 (the paper's default lambda = 0), the
-    right-hand side is corr_A for every sigma, so a support of two or more
-    coordinates solves one system and only sigma = sign(x) can pass: the
-    candidate is kept when every pivot is > 0 and every |x_j| > 0 (NaN
-    fails, as sigma * NaN > 0 does). The candidates, their objectives and
-    their order are those of the full enumeration, so the rows keep their
-    bits. A call with any non-zero threshold enumerates every sign vector
-    for all its rows, also those at a lambda = 0 slice of a mixed grid.
+    right-hand side is corr_A for every sigma, so every support solves one
+    system and only sigma = sign(x) can pass: the candidate is kept when
+    every pivot is > 0 and every |x_j| > 0 (NaN fails, as sigma * NaN > 0
+    does). A one-coordinate support is then x = corr_a / G_aa, kept where
+    G_aa > 0 and |x| > 0, with no sign or threshold arithmetic. The
+    candidates, their objectives and their order are those of the full
+    enumeration, so the rows keep their bits. A call with any non-zero
+    threshold enumerates every sign vector for all its rows, also those at
+    a lambda = 0 slice of a mixed grid.
 
     Every step is elementwise in a fixed order, so each row is bitwise the
     row solved alone; at p = 1 this is soft(corr, thr) / G.
@@ -104,23 +109,29 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
     phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
+    # at thr = 0 one right-hand side serves every sign vector (see above)
+    one_sign = not np.any(thr)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # k = 1: only sigma = sign(corr) can pass (see above)
         for a in range(p):
             g, c = gram[a][a], corr[a]
-            sigma = np.copysign(1.0, c)
-            b = c - thr * sigma
-            x = b / g
-            ok = (g > 0.0) & (sigma * x > 0.0)
-            # obj = 0.0 - x b, accumulated in b's buffer
-            obj = np.subtract(0.0, np.multiply(x, b, out=b), out=b)
+            if one_sign:
+                b = c
+                x = b / g
+                tmp = np.abs(x)
+                ok = (g > 0.0) & (tmp > 0.0)
+            else:
+                sigma = np.copysign(1.0, c)
+                tmp = b = c - thr * sigma
+                x = b / g
+                ok = (g > 0.0) & (sigma * x > 0.0)
+            # obj = 0.0 - x b, accumulated in tmp (b's own buffer when thr != 0)
+            obj = np.subtract(0.0, np.multiply(x, b, out=tmp), out=tmp)
             np.copyto(obj, np.inf, where=~ok)
             better = obj < best
             np.copyto(best, obj, where=better)
             np.copyto(phi, 0.0, where=better)
             np.copyto(phi[a], x, where=better)
-        # at thr = 0 one right-hand side serves every sign vector (see above)
-        one_sign = p > 1 and not np.any(thr)
         for k in range(2, p + 1):
             if one_sign:
                 signs = np.ones((1, k))
@@ -193,11 +204,13 @@ class IntervalFit:
 # two when every lambda of the engine is 0 and ``_lasso_solve`` keeps one
 # sign vector per support of two or more coordinates. (Counting that one
 # row alone would give p >= 2 blocks twice p = 1's, for more memory and
-# little speed.) A block of segment ends holds at most this many rows per
-# lambda, so its working set stays bounded whatever n. An engine with
-# several lambdas holds that many times the rows per call; counting them
-# in the budget would shrink the tuning sweep's blocks to one end, and the
-# per-call overhead then costs more than batching the lambdas saves.
+# little speed.) A block counts the intervals it fits, its ends times the
+# spans each is fitted at, so early ends, with few spans, share a block
+# and the working set stays bounded whatever n. Only a block of one end
+# may hold more. An engine with several lambdas holds that many times the
+# rows per call; counting them in the budget would shrink the tuning
+# sweep's blocks to one end, and the per-call overhead then costs more
+# than batching the lambdas saves.
 _BLOCK_ROWS = 16384
 
 
@@ -211,9 +224,10 @@ class IntervalLossEngine:
     default the config's own), so the products and moments serve them
     all. ``fit_block`` fits every interval of a block of segment ends at
     every lambda with one cumulative sum and one exact LASSO solve, and
-    ``fit(s, e, lam_index)`` is its one-end, one-start case. ``block`` is
-    the most ends one call takes, sized from ``_BLOCK_ROWS``. Instances are
-    immutable after construction and safe to share across threads.
+    ``fit(s, e, lam_index)`` is its one-end, one-start case. ``blocks``
+    tiles the segment ends into blocks whose intervals' solver rows fit
+    ``_BLOCK_ROWS``. Instances are immutable after construction and safe
+    to share across threads.
 
     Construction raises ``DegenerateFitError``, naming the first multipole
     at fault, when a product, or 4 times the sum over t and the multipoles
@@ -241,8 +255,8 @@ class IntervalLossEngine:
         n, L, p = series.n, config.L, config.p
         # at lambda = 0 everywhere the rss needs no ||phi||_1 term (fit_block)
         self._penalized = bool(lam.any())
-        sign_rows = 1 << (p if self._penalized else 1)
-        self.block = max(1, _BLOCK_ROWS // (L * n * sign_rows))
+        # solver rows of one interval at one lambda (_BLOCK_ROWS)
+        self._interval_rows = L << (p if self._penalized else 1)
         prod = per_time_products(series, p, L)
         # column j holds time n - j; the NaN tail lets every window of a block fit
         rev = np.full((prod.shape[2], L, 2 * n), np.nan)
@@ -269,12 +283,34 @@ class IntervalLossEngine:
                 "the coefficients are too large; rescale the series"
             )
 
+    def blocks(self, m0: int) -> Iterator[tuple[int, int]]:
+        """The blocks ``(e0, e1)`` that tile the segment ends m0+1..n, in order.
+
+        A block's ends e0..e1 are fitted at the spans m0..e1-1, as the
+        dynamic program asks. A block starting at e0 takes the most ends
+        B, at least one, whose B (e0 + B - 1 - m0) intervals at
+        ``_interval_rows`` rows each fit ``_BLOCK_ROWS``, and is cut at n.
+        Early ends have few spans, so early blocks hold more ends.
+        """
+        n = self.series.n
+        budget = _BLOCK_ROWS // self._interval_rows
+        e0 = m0 + 1
+        while e0 <= n:
+            a = e0 - 1 - m0
+            # the largest B with B (a + B) <= budget: 2B + a <= isqrt(a^2 + 4 budget)
+            ends = max(1, (math.isqrt(a * a + 4 * budget) - a) // 2)
+            e1 = min(e0 + ends - 1, n)
+            yield e0, e1
+            e0 = e1 + 1
+
     def fit_block(self, e0: int, e1: int, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
         """Fit every interval [e - m, e] for e0 <= e <= e1 and m0 <= m <= m1.
 
         Returns ``phi`` (Λ, B, M, L, p) and ``rss`` (Λ, B, M, L), indexed
-        by [lambda, e - e0, m - m0] for the Λ = ``len(lams)`` penalties and
-        B = e1 - e0 + 1 <= ``block`` ends. Where e - m < 1 (only for
+        by [lambda, e - e0, m - m0] for the Λ = ``len(lams)`` penalties,
+        B = e1 - e0 + 1 ends and M = m1 - m0 + 1 spans; a block of several
+        ends must fit its B M intervals' solver rows in ``_BLOCK_ROWS``, as
+        every block of ``blocks`` does. Where e - m < 1 (only for
         e < e1) the interval starts before the series and its ``rss`` is
         NaN. The solve's kept candidate solves G_AA x = corr_A - thr sigma,
         so phi'G phi = corr'phi - thr ||phi||_1: the rss
@@ -291,8 +327,9 @@ class IntervalLossEngine:
             raise ValueError(f"interval [{e1 - m1}, {e1}] outside 1..{n}")
         if m0 < p:
             raise ValueError(f"interval [{e0 - m0}, {e0}] too short to fit AR({p})")
-        if e1 - e0 >= self.block:
-            raise ValueError(f"block of {e1 - e0 + 1} ends exceeds {self.block}")
+        rows = (e1 - e0 + 1) * (m1 - m0 + 1) * self._interval_rows
+        if e1 > e0 and rows > _BLOCK_ROWS:
+            raise ValueError(f"block of {e1 - e0 + 1} ends holds {rows} rows, over {_BLOCK_ROWS}")
         # window b starts at time e0 + b and runs back in time
         windows = self._windows[:, :, n - e1 : n - e0 + 1, : m1 - p + 1][:, :, ::-1]
         moments = np.cumsum(windows, axis=-1)[..., m0 - p :]

@@ -4,9 +4,11 @@ Solves min over partitions of sum_I loss(I) + gamma * |partition|, with
 every segment at least ``delta`` timestamps long, via the Bellman
 recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 
-The recursion walks the segment ends in blocks: one
-``IntervalLossEngine.fit_block`` call fits every interval that ends in
-the block, and the Bellman update then runs end by end. Each update
+The recursion walks the segment ends in the engine's blocks
+(``IntervalLossEngine.blocks``), each sized by the interval rows its
+ends' spans hold, so the early ends, with few admissible starts, share a
+block: one ``IntervalLossEngine.fit_block`` call fits every interval that
+ends in the block, and the Bellman update then runs end by end. Each update
 takes the ``argmin`` of the candidate costs and keeps it when that least
 cost is unique; an exact tie (or a NaN) is decided by a ``lexsort`` over
 cost, then fewer segments, then the larger start. One engine fits each
@@ -142,8 +144,7 @@ def detect_grid(
     # n < 2 delta, and a series shorter than delta ends its one segment at n.
     starts = np.concatenate(([1], np.arange(delta + 1, n - delta + 2)))
     m0 = min(delta, n) - 1
-    for e0 in range(m0 + 1, n + 1, engine.block):
-        e1 = min(e0 + engine.block - 1, n)
+    for e0, e1 in engine.blocks(m0):
         _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
         losses = rss.sum(axis=-1)
         for b, e in enumerate(range(e0, e1 + 1)):

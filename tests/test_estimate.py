@@ -226,17 +226,26 @@ class TestLassoFitInterval:
         # non-finite rows: a NaN correlation, an infinite cross moment
         corr[-1, 15] = np.nan
         gram[0, -1, 16] = gram[-1, 0, 16] = np.inf
+        # the first lag's one-coordinate support, x = corr_0 / g: g < 0,
+        # corr_0 NaN, +inf and -inf, and g = 0 with corr_0 = 0 (x = NaN)
+        gram[0, 0, 30] = -1.0
+        corr[0, 31], corr[0, 32], corr[0, 33] = np.nan, np.inf, -np.inf
+        gram[0, :, 34] = gram[:, 0, 34] = 0.0
+        corr[0, 34] = 0.0
         got, got_best = _lasso_solve(gram, corr, thr)
         want, want_best = enumerated_lasso_solve(gram, corr, thr)
         assert same_bits(got, want)
         assert same_bits(got_best, want_best)
+        # an infinite corr_0 is its own minimizer, at objective -inf
+        assert (got[0, 32:34] == [np.inf, -np.inf]).all() and (got[1:, 32:34] == 0.0).all()
+        assert (got_best[32:34] == -np.inf).all()
         # the same rows in a call that enumerates every sign vector
         mixed = thr.copy()
         mixed[-1] = 1.0
         mixed_phi, mixed_best = _lasso_solve(gram, corr, mixed)
         assert same_bits(mixed_phi[:, :-1], got[:, :-1])
         assert same_bits(mixed_best[:-1], got_best[:-1])
-        assert np.isfinite(got).all()
+        assert np.isfinite(np.delete(got, [32, 33], axis=1)).all()
         assert (got[-1, 13:15] == 0.0).all()
         assert (got[:-1, 13:15] == 1.0 / np.arange(1, p)[:, None]).all()
 
@@ -343,20 +352,48 @@ class TestIntervalLoss:
             per_time_products(series, p, 2), per_time_products(series, p)[:, :2], equal_nan=True
         )
 
-    def test_block_counts_the_sign_rows_the_solve_holds(self):
-        # 2^p sign vectors per row at any lambda > 0, p = 1's two when every
-        # lambda is 0 and a support keeps one sign vector
-        series = random_series(n=40, L=3, seed=9)
-        two_signs = _BLOCK_ROWS // (3 * 40 * 2)
+    def test_blocks_tile_the_ends_within_the_row_budget(self):
+        # A block counts its intervals, ends times spans, at L rows each per
+        # sign vector a full support holds: 2^p at any lambda > 0, p = 1's
+        # two when every lambda is 0 and a support keeps one sign vector.
+        n, L, m0 = 400, 3, 4
+        series = random_series(n=n, L=L, seed=9)
         for p in (1, 2, 3, 4):
-            def block(lams):
-                return IntervalLossEngine(series, self.config(L=3, p=p), lams).block
+            cases = [(None, 2), ((0.0, (0.0, 0.0, 0.0)), 2)]
+            cases += [(lams, 1 << p) for lams in ((0.5,), (0.0, 1.0), ((0.0, 0.0, 0.3),))]
+            for lams, sign_rows in cases:
+                def rows(e0, e1):
+                    return (e1 - e0 + 1) * (e1 - m0) * L * sign_rows
 
-            all_signs = max(1, _BLOCK_ROWS // (3 * 40 << p))
-            assert block(None) == block((0.0, (0.0, 0.0, 0.0))) == two_signs
-            for lams in ((0.5,), (0.0, 1.0), ((0.0, 0.0, 0.3),)):
-                assert block(lams) == all_signs
-            assert (all_signs == two_signs) == (p == 1)
+                blocks = list(IntervalLossEngine(series, self.config(L=L, p=p), lams).blocks(m0))
+                assert [e for e0, e1 in blocks for e in range(e0, e1 + 1)] == list(
+                    range(m0 + 1, n + 1)
+                )
+                for e0, e1 in blocks:
+                    # the most ends whose rows fit, at least one, cut at n
+                    assert e0 == e1 or rows(e0, e1) <= _BLOCK_ROWS
+                    assert e1 == n or rows(e0, e1 + 1) > _BLOCK_ROWS
+                sizes = [e1 - e0 + 1 for e0, e1 in blocks]
+                assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+                # p = 4 at lambda > 0: one end's spans hold more than the budget
+                over = [e0 for e0, e1 in blocks if rows(e0, e0) > _BLOCK_ROWS]
+                assert bool(over) == (sign_rows == 16)
+
+    def test_fit_block_rejects_a_block_over_the_row_budget(self):
+        n, m0 = 400, 5
+        series = random_series(n=n, L=3, seed=9)
+        engine = IntervalLossEngine(series, self.config(L=3, p=4), (0.5,))
+        e0, e1 = next(engine.blocks(m0))
+        _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
+        assert rss.shape == (1, e1 - e0 + 1, e1 - m0, 3)
+        # one end more, or one span more, is over
+        with pytest.raises(ValueError, match="rows, over"):
+            engine.fit_block(e0, e1 + 1, m0, e1)
+        with pytest.raises(ValueError, match="rows, over"):
+            engine.fit_block(e0, e1, m0 - 1, e1 - 1)
+        # a single end takes every span, over the budget or not
+        _, rss = engine.fit_block(n, n, m0, n - 1)
+        assert np.isfinite(rss).all()
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_overflowing_products_fail_loudly(self, p):

@@ -221,19 +221,24 @@ def test_detect_grid_of_an_empty_axis_is_empty():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
-    series = random_series(n=30, L=3, seed=66 + p)
+    series = random_series(n=80, L=3, seed=66 + p)
     config = DetectorConfig(p=p, L=3, delta=5)
     lams = (0.0, 0.7, (1.0, 0.0, 0.3))
     engine = IntervalLossEngine(series, config, lams)
-    e0, e1 = 10, min(10 + engine.block - 1, 30)
-    phi, rss = engine.fit_block(e0, e1, p, e1 - 1)
-    assert phi.shape[0] == rss.shape[0] == len(lams)
-    for i, lam in enumerate(lams):
-        alone = IntervalLossEngine(series, replace(config, lam=lam))
-        phi_1, rss_1 = alone.fit_block(e0, e1, p, e1 - 1)
-        assert np.array_equal(phi[i], phi_1[0], equal_nan=True)
-        assert np.array_equal(rss[i], rss_1[0], equal_nan=True)
-        fit, fit_1 = engine.fit(4, 25, i), alone.fit(4, 25)
+    alone = [IntervalLossEngine(series, replace(config, lam=lam)) for lam in lams]
+    # the engine's own blocks, which its lambda > 0 sizes by 2^p sign rows
+    # and so also fit the lambda = 0 engine's budget of 2
+    blocks = list(engine.blocks(p))
+    assert len(blocks) > 1
+    for e0, e1 in blocks:
+        phi, rss = engine.fit_block(e0, e1, p, e1 - 1)
+        assert phi.shape[0] == rss.shape[0] == len(lams)
+        for i, one in enumerate(alone):
+            phi_1, rss_1 = one.fit_block(e0, e1, p, e1 - 1)
+            assert np.array_equal(phi[i], phi_1[0], equal_nan=True)
+            assert np.array_equal(rss[i], rss_1[0], equal_nan=True)
+    for i, one in enumerate(alone):
+        fit, fit_1 = engine.fit(4, 25, i), one.fit(4, 25)
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
 
@@ -260,7 +265,7 @@ def fresh_bellman(series, config):
 @pytest.mark.parametrize("L", [3, 10])
 @pytest.mark.parametrize(
     "n, data",
-    [(60, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
+    [(59, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
     ids=["partial-last-block", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
 )
 def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
@@ -271,9 +276,14 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
     ref = IntervalLossEngine(series, config)
     if n < 2 * config.delta:
         assert result.warning is not None
-    else:
-        n_ends = n - config.delta + 1
-        assert ref.block < n_ends and n_ends % ref.block != 0
+    elif data == "random":
+        # several blocks, the last cut at n with rows to spare for one more
+        # end (lambda > 0: 2^p sign rows per interval and multipole)
+        m0 = config.delta - 1
+        blocks = list(ref.blocks(m0))
+        e0, e1 = blocks[-1]
+        assert len(blocks) > 1 and e1 == n
+        assert (e1 - e0 + 2) * (e1 + 1 - m0) * (L << p) <= estimate._BLOCK_ROWS
     best, nseg, back = fresh_bellman(series, config)
     assert result.dp.best_cost.tolist() == best
     assert result.dp.n_segments.tolist() == nseg
@@ -391,8 +401,7 @@ class TestDpTable:
         config = DetectorConfig(p=1, L=2, lam=0.4, gamma=1.0, delta=4)
         engine = IntervalLossEngine(series, config)
         m0 = config.delta - 1
-        for e0 in range(config.delta, series.n + 1, engine.block):
-            e1 = min(e0 + engine.block - 1, series.n)
+        for e0, e1 in engine.blocks(m0):
             _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
             for e, losses in zip(range(e0, e1 + 1), rss[0].sum(axis=-1)):
                 for m in range(m0, e):
