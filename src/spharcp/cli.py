@@ -256,13 +256,13 @@ def cmd_bench(args) -> int:
 def cmd_eval(args) -> int:
     result = sio.read_result(args.infile)
     truth = sio.read_truth(args.truth)
-    if int(result["n"]) != int(truth["n"]):
+    if result["n"] != truth["n"]:
         raise ConfigError(
             f"series length mismatch: result n={result['n']}, truth n={truth['n']}"
         )
-    n = int(truth["n"])
-    est = tuple(int(v) for v in result["change_points"])
-    true_cps = tuple(int(v) for v in truth["change_points"])
+    n = truth["n"]
+    est = tuple(result["change_points"])
+    true_cps = tuple(truth["change_points"])
     doc: dict = {
         "n": n,
         "true_change_points": list(true_cps),

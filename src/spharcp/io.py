@@ -235,10 +235,29 @@ def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict
     return doc
 
 
+def _check_partition(path, doc: dict) -> dict:
+    """``doc`` once its ``n`` and ``change_points`` form a ``Partition``.
+
+    Both must be JSON integers; change points outside (1, n), unsorted or
+    repeated are a ``ParseError`` naming the file and the field.
+    """
+    n, cps = doc["n"], doc["change_points"]
+    if type(n) is not int or n < 1:
+        raise ParseError(f"{path}: n must be an integer >= 1, got {n!r}")
+    if not isinstance(cps, list) or any(type(c) is not int for c in cps):
+        raise ParseError(f"{path}: change_points must be a list of integers, got {cps!r}")
+    try:
+        Partition(n=n, change_points=tuple(cps))
+    except ValueError as exc:
+        raise ParseError(f"{path}: change_points {cps}: {exc}") from exc
+    return doc
+
+
 def read_truth(path) -> dict:
-    return _read_json(
+    doc = _read_json(
         path, "spharcp-truth", ("n", "L", "p", "change_points", "segments", "burn_in", "seed")
     )
+    return _check_partition(path, doc)
 
 
 def truth_to_scenario(doc: dict) -> ScenarioSpec:
@@ -275,7 +294,7 @@ def write_result(path, doc: dict) -> None:
 
 
 def read_result(path) -> dict:
-    return _read_json(path, "spharcp-result", ("n", "change_points"))
+    return _check_partition(path, _read_json(path, "spharcp-result", ("n", "change_points")))
 
 
 def write_metrics(path, doc: dict) -> None:

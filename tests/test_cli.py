@@ -357,6 +357,40 @@ def test_eval_undecodable_document_is_parse_error(tmp_path, tiny_config, which):
     assert code == 3
 
 
+@pytest.mark.parametrize("which", ["result", "truth"])
+@pytest.mark.parametrize(
+    "cps, message",
+    [
+        ([30, 5000], "outside open interval (1, n=60)"),
+        ([40, 30], "strictly increasing"),
+        ([30, 30], "strictly increasing"),
+        ([30.5], "must be a list of integers"),
+    ],
+    ids=["out-of-range", "unsorted", "duplicated", "non-integer"],
+)
+def test_eval_bad_change_points_are_parse_errors(tmp_path, tiny_config, capsys, which, cps, message):
+    coeffs = tmp_path / "coeffs.csv"
+    paths = {"result": tmp_path / "result.json", "truth": tmp_path / "coeffs.truth.json"}
+    main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)])
+    main(["detect", "--in", str(coeffs), "--out", str(paths["result"]), "--gamma", "30"])
+    doc = json.loads(paths[which].read_text())
+    doc["change_points"] = cps
+    paths[which].write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(
+        [
+            "eval",
+            "--in", str(paths["result"]),
+            "--truth", str(paths["truth"]),
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{paths[which]}: " in err and "change_points" in err and message in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_bench_two_replicates(tmp_path):
     out_dir = tmp_path / "bench"
     code = main(
