@@ -58,10 +58,10 @@ def _load_scenario_config(path) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _load_scenario_config(args.config)
     scenario_id = cfg["scenario"]
-    q = int(cfg.get("q", 8))
+    q = sio.int_field("q", cfg.get("q", 8))
     d = float(cfg.get("d", 2))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    burn_in = int(cfg.get("burn_in", DEFAULT_BURN_IN))
+    seed = args.seed if args.seed is not None else sio.int_field("seed", cfg.get("seed", 0))
+    burn_in = sio.int_field("burn_in", cfg.get("burn_in", DEFAULT_BURN_IN))
     junction = cfg.get("junction", "continue")
     try:
         if scenario_id == "custom":

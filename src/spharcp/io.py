@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spharcp.errors import ParseError
+from spharcp.errors import ConfigError, ParseError
 from spharcp.simulate import ScenarioSpec
 from spharcp.types import (
     ArCoefficients,
@@ -260,20 +260,30 @@ def read_truth(path) -> dict:
     return _check_partition(path, doc)
 
 
+def int_field(name: str, value) -> int:
+    """``value`` of the integer field ``name``; anything but a JSON integer
+    (a float, a string, a bool) is a ``ConfigError`` naming the field."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def truth_to_scenario(doc: dict) -> ScenarioSpec:
     """Rebuild the full scenario from a truth document or a custom scenario config.
 
     ``change_points`` defaults to none and ``junction`` to "continue".
+    ``n``, ``L``, ``p``, ``burn_in``, ``seed`` and the change points must
+    be JSON integers (``ConfigError``, or ``Partition``'s ``ValueError``).
     """
-    p = int(doc["p"])
+    n, p = int_field("n", doc["n"]), int_field("p", doc["p"])
     return ScenarioSpec(
-        n=int(doc["n"]),
-        L=int(doc["L"]),
+        n=n,
+        L=int_field("L", doc["L"]),
         p=p,
-        partition=Partition(n=int(doc["n"]), change_points=tuple(doc.get("change_points", ()))),
+        partition=Partition(n=n, change_points=tuple(doc.get("change_points", ()))),
         segments=tuple(_segment_from_json(seg, p) for seg in doc["segments"]),
-        burn_in=int(doc["burn_in"]),
-        seed=int(doc["seed"]),
+        burn_in=int_field("burn_in", doc["burn_in"]),
+        seed=int_field("seed", doc["seed"]),
         junction=doc.get("junction", "continue"),
     )
 

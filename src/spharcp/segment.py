@@ -8,17 +8,18 @@ The recursion walks the segment ends in the engine's blocks
 (``IntervalLossEngine.blocks``), each sized by the interval rows its
 ends' spans hold, so the early ends, with few admissible starts, share a
 block: one ``IntervalLossEngine.fit_block`` call fits every interval that
-ends in the block, and the Bellman update then runs end by end. Each update
-takes the ``argmin`` of the candidate costs and keeps it when that least
-cost is unique; an exact tie (or a NaN) is decided by a ``lexsort`` over
-cost, then fewer segments, then the larger start. One engine fits each
-block at every LASSO penalty lambda at once, and the losses do not depend
-on gamma, so ``detect_grid`` runs one recursion for a whole (lambda,
-gamma) grid: each block is fitted once and updates one Bellman row per
-(lambda, gamma). ``detect`` is that recursion at the single lambda and
-gamma of its config. The same recursion serves every series length: when
-n < 2 delta its only admissible start is 1, so it returns the single
-segment, with its Bellman table and a warning.
+ends in the block, and the Bellman update then runs end by end, over every
+start 1..e-delta+1 in one slice (see ``detect_grid``). Each update takes
+the ``argmin`` of the candidate costs and keeps it when that least cost is
+unique; an exact tie (or a NaN) is decided by a stable ``lexsort`` over
+cost, then fewer segments, with the candidates listed from the larger
+start down. One engine fits each block at every LASSO penalty lambda at
+once, and the losses do not depend on gamma, so ``detect_grid`` runs one
+recursion for a whole (lambda, gamma) grid: each block is fitted once and
+updates one Bellman row per (lambda, gamma). ``detect`` is that recursion
+at the single lambda and gamma of its config. The same recursion serves
+every series length: when n < 2 delta its only finite start is 1, so it
+returns the single segment, with its Bellman table and a warning.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class DpTable:
 
     ``best_cost[e]`` is the optimal objective of the prefix 1..e
     (``best_cost[0] = 0``), ``back_pointer[e]`` the start of the last
-    segment at that optimum (-1 where no admissible partition exists),
-    and ``n_segments[e]`` the number of segments of that optimum.
+    segment at that optimum, and ``n_segments[e]`` the number of segments
+    of that optimum. The prefixes 1..delta-1 admit no partition and keep
+    +inf, -1 and 0: the recursion reads them as the cost of its
+    inadmissible starts 2..delta.
     """
 
     best_cost: np.ndarray
@@ -88,7 +91,7 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     ``IntervalLossEngine.fit_block`` call. Ties in cost are broken toward
     fewer segments, then toward the larger start of the last segment: a
     unique least cost is taken by ``argmin`` and only an exact tie pays
-    for the full ``lexsort``. Deterministic for fixed inputs.
+    for a ``lexsort`` over (cost, segments). Deterministic for fixed inputs.
 
     Returns
     -------
@@ -118,6 +121,16 @@ def detect_grid(
     for bit, and its ``config`` is that replaced config, so every lambda
     and gamma is validated by ``DetectorConfig``. An empty ``lams`` or
     ``gammas`` gives ``()``.
+
+    The Bellman step of end e reads every start s = 1..k, k = e - m0 with
+    m0 = min(delta, n) - 1, as one slice from the largest start down:
+    ``best[s - 1] + loss([s, e]) + gamma``. The admissible starts are 1 and
+    delta+1..k. The others, 2..delta, read the prefixes 1..delta-1, which
+    no end below delta writes, so they stay +inf; the losses are finite
+    (the rss is clamped at 0 and the engine rejects products that
+    overflow), so these starts cost +inf and never win or tie. ``argmin``
+    and the stable ``lexsort`` take the first of equal candidates, the
+    largest start.
     """
     configs = tuple(
         replace(config, lam=lam, gamma=gamma)
@@ -136,33 +149,26 @@ def detect_grid(
     nseg = np.zeros(shape, dtype=int)
     back = np.full(shape, -1, dtype=int)
 
-    rows = tuple(zip(best, nseg, back, (cfg.gamma for cfg in configs)))
-    # the Bellman rows of lambda i, one per gamma
-    rows_by_lam = [rows[i : i + n_gammas] for i in range(0, len(rows), n_gammas)]
-    # The prefixes that admit a partition are 0 and delta.., so the
-    # admissible starts of e are 1 and delta+1..e-delta+1: only 1 when
-    # n < 2 delta, and a series shorter than delta ends its one segment at n.
-    starts = np.concatenate(([1], np.arange(delta + 1, n - delta + 2)))
+    # one Bellman row per (lambda, gamma), in the order of configs
+    rows = tuple(zip(best, nseg, back, itertools.product(range(len(lams)), gammas)))
     m0 = min(delta, n) - 1
     for e0, e1 in engine.blocks(m0):
         _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
         losses = rss.sum(axis=-1)
         for b, e in enumerate(range(e0, e1 + 1)):
-            s = starts[: max(1, e - 2 * delta + 2)]
-            prev = s - 1
-            for loss, lam_rows in zip(losses[:, b, e - m0 - s], rows_by_lam):
-                for row_best, row_nseg, row_back, gamma in lam_rows:
-                    cost = row_best[prev]
-                    cost += loss
-                    cost += gamma
-                    i = cost.argmin()
-                    # a unique least cost wins outright; ties (and NaN) take
-                    # the full order: cost, then fewer segments, then larger s
-                    if np.count_nonzero(cost == cost[i]) != 1:
-                        i = np.lexsort((-s, row_nseg[prev] + 1, cost))[0]
-                    row_best[e] = cost[i]
-                    row_nseg[e] = row_nseg[prev[i]] + 1
-                    row_back[e] = s[i]
+            # the starts k, k-1, .., 1 of end e, read off the prefixes k-1, .., 0
+            k = e - m0
+            for row_best, row_nseg, row_back, (lam, gamma) in rows:
+                cost = row_best[k - 1 :: -1] + losses[lam, b, :k]
+                cost += gamma
+                i = cost.argmin()
+                # a unique least cost wins outright; ties (and NaN) take the
+                # stable order: cost, then fewer segments, then larger start
+                if np.count_nonzero(cost == cost[i]) != 1:
+                    i = np.lexsort((row_nseg[k - 1 :: -1], cost))[0]
+                row_best[e] = cost[i]
+                row_nseg[e] = row_nseg[k - 1 - i] + 1
+                row_back[e] = k - i
 
     warning = None
     if n < 2 * delta:

@@ -154,21 +154,33 @@ class SegmentSpec:
         return self.coeffs.p
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered change points 1 < eta_1 < ... < eta_K < n of a length-n series.
 
     The implied boundaries are eta_0 = 1 and eta_{K+1} = n + 1; segment k
-    covers timestamps [eta_k, eta_{k+1}).
+    covers timestamps [eta_k, eta_{k+1}). ``n`` and the change points must
+    be integers (``int`` or a numpy integer, not ``bool``): a float or a
+    string is a ``ValueError``, not truncated.
     """
 
     n: int
     change_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        for c in self.change_points:
+            if not _is_integer(c):
+                raise ValueError(f"change points must be integers, got {c!r}")
         cps = tuple(int(c) for c in self.change_points)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", int(self.n))
         for c in cps:
             if not 1 < c < self.n:
                 raise ValueError(f"change point {c} outside open interval (1, n={self.n})")

@@ -101,6 +101,32 @@ def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 60.9, "n must be an integer, got 60.9"),
+        ("L", 2.0, "L must be an integer, got 2.0"),
+        ("p", "1", "p must be an integer, got '1'"),
+        ("seed", 5.5, "seed must be an integer, got 5.5"),
+        ("burn_in", True, "burn_in must be an integer, got True"),
+        ("q", 8.5, "q must be an integer, got 8.5"),
+        ("change_points", [30.7], "change points must be integers, got 30.7"),
+    ],
+    ids=["n", "L", "p", "seed", "burn_in", "q", "change_points"],
+)
+def test_simulate_non_integer_field_exits_2_and_writes_nothing(
+    tmp_path, tiny_config, capsys, field, value, message
+):
+    # no field is truncated: a float, a string or a bool exits 2 by name
+    cfg = json.loads(tiny_config.read_text())
+    cfg[field] = value
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "x.truth.json").exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"],
      ["--gamma", "nan"], ["--gamma", "inf"]],

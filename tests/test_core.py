@@ -91,6 +91,22 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(n=10, change_points=(5, 5))
 
+    @pytest.mark.parametrize("cp", [2.7, 5.0, "5", True, np.float64(5)])
+    def test_rejects_non_integer_change_points(self, cp):
+        with pytest.raises(ValueError, match="change points must be integers"):
+            Partition(n=10, change_points=(cp,))
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", np.float64(10)])
+    def test_rejects_non_integer_length(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Partition(n=n, change_points=(5,))
+
+    def test_numpy_integers_become_ints(self):
+        part = Partition(n=np.int64(10), change_points=(np.int32(4), np.int64(8)))
+        assert part.change_points == (4, 8) and part.n == 10
+        assert all(type(v) is int for v in (part.n, *part.change_points))
+        assert part.segments() == [(1, 3), (4, 7), (8, 10)]
+
 
 class TestDetectorConfig:
     def test_scalar_lambda_broadcast(self):

@@ -262,21 +262,28 @@ def fresh_bellman(series, config):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("L", [3, 10])
+@pytest.mark.parametrize(
+    "L, shortest", [(3, False), (10, False), (3, True)], ids=["3", "10", "3-delta-p+1"]
+)
 @pytest.mark.parametrize(
     "n, data",
     [(59, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
     ids=["partial-last-block", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
 )
-def test_block_dp_matches_fresh_single_interval_fits(p, L, n, data):
-    # L >= 8 sums rss over multipoles in numpy's pairwise order
+def test_block_dp_matches_fresh_single_interval_fits(p, L, shortest, n, data):
+    # L >= 8 sums rss over multipoles in numpy's pairwise order; delta = p + 1
+    # fits spans from m0 = p, the shortest an AR(p) fit takes, here at half
+    # the length to keep the reference's n^2 / 2 fits cheap
+    delta = 5
+    if shortest:
+        n, delta = n // 2, p + 1
     series, gamma = tie_series(n, L, data, seed=80 + p)
-    config = DetectorConfig(p=p, L=L, lam=0.3, gamma=gamma, delta=5)
+    config = DetectorConfig(p=p, L=L, lam=0.3, gamma=gamma, delta=delta)
     result = detect(series, config)
     ref = IntervalLossEngine(series, config)
     if n < 2 * config.delta:
         assert result.warning is not None
-    elif data == "random":
+    elif data == "random" and not shortest:
         # several blocks, the last cut at n with rows to spare for one more
         # end (lambda > 0: 2^p sign rows per interval and multipole)
         m0 = config.delta - 1
@@ -409,6 +416,20 @@ class TestDpTable:
                     assert losses[m - m0] == fresh.loss
                 # spans reaching before t = 1 come back as NaN
                 assert np.isnan(losses[e - m0 :]).all()
+
+    def test_short_prefixes_stay_infeasible_in_every_row(self):
+        # the Bellman step reads the starts 2..delta off these prefixes and
+        # relies on their +inf cost to rule them out
+        series = random_series(n=30, L=2, seed=73)
+        config = DetectorConfig(p=2, L=2, delta=6)
+        results = detect_grid(series, config, (0.0, 0.5, (0.2, 1.0)), (0.0, 2.0, 50.0))
+        assert len(results) == 9
+        for result in results:
+            dp = result.dp
+            assert (dp.best_cost[1 : config.delta] == math.inf).all()
+            assert (dp.back_pointer[1 : config.delta] == -1).all()
+            assert (dp.n_segments[1 : config.delta] == 0).all()
+            assert np.isfinite(dp.best_cost[config.delta :]).all()
 
     def test_bellman_feasibility(self):
         series = random_series(n=25, L=1, seed=72)
