@@ -58,34 +58,23 @@ def _load_scenario_config(path) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _load_scenario_config(args.config)
     scenario_id = cfg["scenario"]
-    q = sio.int_field("q", cfg.get("q", 8))
-    d = float(cfg.get("d", 2))
-    seed = args.seed if args.seed is not None else sio.int_field("seed", cfg.get("seed", 0))
-    burn_in = sio.int_field("burn_in", cfg.get("burn_in", DEFAULT_BURN_IN))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    burn_in = cfg.get("burn_in", DEFAULT_BURN_IN)
     junction = cfg.get("junction", "continue")
+    meta = {"scenario": scenario_id, "seed": seed, "burn_in": burn_in, "junction": junction}
+    # the types check every field; q and d (echoed as a float) shape named scenarios only
     try:
         if scenario_id == "custom":
-            spec = sio.truth_to_scenario(
-                {**cfg, "seed": seed, "burn_in": burn_in, "junction": junction}
-            )
+            spec = sio.truth_to_scenario({**cfg, **meta})
         else:
+            q, d = cfg.get("q", 8), cfg.get("d", 2)
             spec = make_scenario(scenario_id, q, d, seed, burn_in, junction)
+            meta.update(q=q, d=float(d))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
 
     series = simulate(spec)
-    meta = {
-        "scenario": scenario_id,
-        "seed": seed,
-        "burn_in": burn_in,
-        "junction": junction,
-        "n": spec.n,
-        "L": spec.L,
-        "p": spec.p,
-    }
-    if scenario_id != "custom":
-        meta["q"] = q
-        meta["d"] = d
+    meta.update(n=spec.n, L=spec.L, p=spec.p)
     out = Path(args.out)
     sio.write_coefficients(out, series, meta)
     truth_path = args.truth_out or out.with_suffix(".truth.json")

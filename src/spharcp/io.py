@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spharcp.errors import ConfigError, ParseError
+from spharcp.errors import ParseError
 from spharcp.simulate import ScenarioSpec
 from spharcp.types import (
     ArCoefficients,
@@ -238,18 +238,19 @@ def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict
 def _check_partition(path, doc: dict) -> dict:
     """``doc`` once its ``n`` and ``change_points`` form a ``Partition``.
 
-    Both must be JSON integers; change points outside (1, n), unsorted or
-    repeated are a ``ParseError`` naming the file and the field.
+    ``Partition`` holds the rules (integers, change points a list inside
+    (1, n), strictly increasing); a breach is a ``ParseError`` naming the
+    file and the field at fault.
     """
     n, cps = doc["n"], doc["change_points"]
-    if type(n) is not int or n < 1:
-        raise ParseError(f"{path}: n must be an integer >= 1, got {n!r}")
-    if not isinstance(cps, list) or any(type(c) is not int for c in cps):
-        raise ParseError(f"{path}: change_points must be a list of integers, got {cps!r}")
     try:
-        Partition(n=n, change_points=tuple(cps))
+        Partition(n=n)
     except ValueError as exc:
-        raise ParseError(f"{path}: change_points {cps}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        Partition(n=n, change_points=cps)
+    except ValueError as exc:
+        raise ParseError(f"{path}: change_points {cps!r}: {exc}") from exc
     return doc
 
 
@@ -260,30 +261,22 @@ def read_truth(path) -> dict:
     return _check_partition(path, doc)
 
 
-def int_field(name: str, value) -> int:
-    """``value`` of the integer field ``name``; anything but a JSON integer
-    (a float, a string, a bool) is a ``ConfigError`` naming the field."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def truth_to_scenario(doc: dict) -> ScenarioSpec:
     """Rebuild the full scenario from a truth document or a custom scenario config.
 
     ``change_points`` defaults to none and ``junction`` to "continue".
-    ``n``, ``L``, ``p``, ``burn_in``, ``seed`` and the change points must
-    be JSON integers (``ConfigError``, or ``Partition``'s ``ValueError``).
+    Each field is checked by the type that uses it (``Partition``,
+    ``ArCoefficients``, ``ScenarioSpec``): a float, a string or a bool
+    where an integer belongs is a ``ConfigError`` naming the field.
     """
-    n, p = int_field("n", doc["n"]), int_field("p", doc["p"])
     return ScenarioSpec(
-        n=n,
-        L=int_field("L", doc["L"]),
-        p=p,
-        partition=Partition(n=n, change_points=tuple(doc.get("change_points", ()))),
-        segments=tuple(_segment_from_json(seg, p) for seg in doc["segments"]),
-        burn_in=int_field("burn_in", doc["burn_in"]),
-        seed=int_field("seed", doc["seed"]),
+        n=doc["n"],
+        L=doc["L"],
+        p=doc["p"],
+        partition=Partition(n=doc["n"], change_points=doc.get("change_points", ())),
+        segments=tuple(_segment_from_json(seg, doc["p"]) for seg in doc["segments"]),
+        burn_in=doc["burn_in"],
+        seed=doc["seed"],
         junction=doc.get("junction", "continue"),
     )
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spharcp.types import CoefficientSeries, Partition, SegmentSpec
+from spharcp.errors import ConfigError
+from spharcp.types import CoefficientSeries, Partition, SegmentSpec, check_integer
 
 DEFAULT_BURN_IN = 500
 
@@ -30,7 +31,8 @@ class ScenarioSpec:
     Parameters
     ----------
     n, L, p : int
-        Series length, number of multipoles, AR order.
+        Series length, number of multipoles, AR order: integers, as are
+        ``burn_in`` and ``seed``.
     partition : Partition
         True change points.
     segments : list of SegmentSpec
@@ -58,6 +60,8 @@ class ScenarioSpec:
     junction: str = "continue"
 
     def __post_init__(self) -> None:
+        for name in ("n", "L", "p", "burn_in", "seed"):
+            check_integer(name, getattr(self, name))
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.partition.n != self.n:
             raise ValueError("partition.n does not match n")
@@ -83,14 +87,15 @@ class ScenarioSpec:
 def build_beta(q: int, d: float, L: int) -> np.ndarray:
     """Decaying coefficient profile 0.9 (ell+1)^(-1/(8-d)) truncated at q.
 
-    ``q`` sets the number of non-zero leading entries; ``d`` (< 8)
+    ``q``, an integer in 1..L, sets the number of non-zero leading
+    entries; ``d``, an int or a float below 8 (not a bool, not NaN),
     controls the decay and hence the separation between the two regimes
     built from +/- beta.
     """
-    if not 1 <= q <= L:
+    if not 1 <= check_integer("q", q) <= L:
         raise ValueError(f"q={q} outside 1..L={L}")
-    if d >= 8:
-        raise ValueError("d must be < 8")
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not d < 8:
+        raise ConfigError(f"d must be a number below 8, got {d!r}")
     ells = np.arange(L, dtype=float)
     beta = 0.9 * (ells + 1.0) ** (-1.0 / (8.0 - d))
     beta[q:] = 0.0

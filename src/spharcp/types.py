@@ -15,6 +15,18 @@ import numpy as np
 from spharcp.errors import ConfigError
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` of the integer field ``name`` as an ``int``; anything but an ``int``
+    or a numpy integer (a bool, a float, a string) is a ``ConfigError``, not truncated."""
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def slot_index(ell: int | np.ndarray, m: int | np.ndarray) -> int | np.ndarray:
     """Flat storage slot of the (ell, m) harmonic component.
 
@@ -92,6 +104,7 @@ class ArCoefficients:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
+        check_integer("p", self.p)
         phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
         if phi.ndim != 2 or phi.shape[1] != self.p:
             raise ValueError(f"phi must have shape (L, p={self.p}), got {phi.shape}")
@@ -154,36 +167,34 @@ class SegmentSpec:
         return self.coeffs.p
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered change points 1 < eta_1 < ... < eta_K < n of a length-n series.
 
     The implied boundaries are eta_0 = 1 and eta_{K+1} = n + 1; segment k
-    covers timestamps [eta_k, eta_{k+1}). ``n`` and the change points must
-    be integers (``int`` or a numpy integer, not ``bool``): a float or a
-    string is a ``ValueError``, not truncated.
+    covers timestamps [eta_k, eta_{k+1}). ``n`` (see ``check_integer``) and
+    the change points must be integers (``int`` or a numpy integer, not
+    ``bool``), the change points given as a tuple or a list: anything else
+    is a ``ConfigError``, not truncated or read item by item.
     """
 
     n: int
     change_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        n = check_integer("n", self.n)
+        if not isinstance(self.change_points, (tuple, list)):
+            raise ConfigError(f"change points must be a list, got {self.change_points!r}")
         for c in self.change_points:
             if not _is_integer(c):
-                raise ValueError(f"change points must be integers, got {c!r}")
+                raise ConfigError(f"change points must be integers, got {c!r}")
         cps = tuple(int(c) for c in self.change_points)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         for c in cps:
-            if not 1 < c < self.n:
-                raise ValueError(f"change point {c} outside open interval (1, n={self.n})")
+            if not 1 < c < n:
+                raise ValueError(f"change point {c} outside open interval (1, n={n})")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("change points must be strictly increasing")
         object.__setattr__(self, "change_points", cps)
@@ -244,6 +255,8 @@ class DetectorConfig:
     lam_per_ell: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("p", "L", "delta"):
+            check_integer(name, getattr(self, name))
         if not 1 <= self.p <= 5:
             raise ConfigError("p must be between 1 and 5")
         if self.L < 1:

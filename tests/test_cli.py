@@ -110,14 +110,27 @@ def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
         ("burn_in", True, "burn_in must be an integer, got True"),
         ("q", 8.5, "q must be an integer, got 8.5"),
         ("change_points", [30.7], "change points must be integers, got 30.7"),
+        ("change_points", "30", "change points must be a list, got '30'"),
+        ("change_points", 30, "change points must be a list, got 30"),
+        ("change_points", None, "change points must be a list, got None"),
+        ("d", None, "d must be a number below 8, got None"),
+        ("d", True, "d must be a number below 8, got True"),
+        ("d", "2", "d must be a number below 8, got '2'"),
+        ("d", [1], "d must be a number below 8, got [1]"),
+        ("d", float("nan"), "d must be a number below 8, got nan"),
+        ("d", 9, "d must be a number below 8, got 9"),
     ],
-    ids=["n", "L", "p", "seed", "burn_in", "q", "change_points"],
+    ids=["n", "L", "p", "seed", "burn_in", "q", "change_points", "change_points-string",
+         "change_points-integer", "change_points-null", "d-null", "d-true", "d-string", "d-list",
+         "d-nan", "d-9"],
 )
 def test_simulate_non_integer_field_exits_2_and_writes_nothing(
     tmp_path, tiny_config, capsys, field, value, message
 ):
-    # no field is truncated: a float, a string or a bool exits 2 by name
-    cfg = json.loads(tiny_config.read_text())
+    # no field is coerced: a float, a string, a bool or null exits 2 by name;
+    # q and d shape a named scenario only, so a custom config does not read them
+    named = field in ("q", "d")
+    cfg = {"scenario": "table1-balanced"} if named else json.loads(tiny_config.read_text())
     cfg[field] = value
     tiny_config.write_text(json.dumps(cfg))
     out = tmp_path / "x.csv"
@@ -390,9 +403,14 @@ def test_eval_undecodable_document_is_parse_error(tmp_path, tiny_config, which):
         ([30, 5000], "outside open interval (1, n=60)"),
         ([40, 30], "strictly increasing"),
         ([30, 30], "strictly increasing"),
-        ([30.5], "must be a list of integers"),
+        ([30.5], "change points must be integers, got 30.5"),
+        (None, "change points must be a list, got None"),
+        ("30", "change points must be a list, got '30'"),
+        (30, "change points must be a list, got 30"),
+        ({"a": 1}, "change points must be a list, got {'a': 1}"),
     ],
-    ids=["out-of-range", "unsorted", "duplicated", "non-integer"],
+    ids=["out-of-range", "unsorted", "duplicated", "non-integer", "null", "string", "integer",
+         "object"],
 )
 def test_eval_bad_change_points_are_parse_errors(tmp_path, tiny_config, capsys, which, cps, message):
     coeffs = tmp_path / "coeffs.csv"
@@ -414,6 +432,29 @@ def test_eval_bad_change_points_are_parse_errors(tmp_path, tiny_config, capsys, 
     assert code == 3
     err = capsys.readouterr().err
     assert f"{paths[which]}: " in err and "change_points" in err and message in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("which", ["result", "truth"])
+@pytest.mark.parametrize(
+    "n, message",
+    [(60.5, "n must be an integer, got 60.5"), ("60", "n must be an integer, got '60'"),
+     (0, "n must be >= 1")],
+    ids=["float", "string", "zero"],
+)
+def test_eval_bad_n_is_a_parse_error(tmp_path, tiny_config, capsys, which, n, message):
+    coeffs = tmp_path / "coeffs.csv"
+    paths = {"result": tmp_path / "result.json", "truth": tmp_path / "coeffs.truth.json"}
+    main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)])
+    main(["detect", "--in", str(coeffs), "--out", str(paths["result"]), "--gamma", "30"])
+    doc = json.loads(paths[which].read_text())
+    doc["n"] = n
+    paths[which].write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["eval", "--in", str(paths["result"]), "--truth", str(paths["truth"]),
+            "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {paths[which]}: {message}\n"
     assert not (tmp_path / "m.json").exists()
 
 
@@ -457,6 +498,14 @@ def test_bench_reproducible_across_thread_counts(tmp_path):
             a.pop("runtime_seconds")
             b.pop("runtime_seconds")
             assert a == b
+
+
+def test_bench_nan_d_exits_2_before_creating_the_directory(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    argv = ["bench", "table1-balanced", "--d", "nan", "--reps", "1", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: d must be a number below 8, got nan\n"
+    assert not out_dir.exists()
 
 
 def test_bench_unknown_scenario_rejected(tmp_path):

@@ -21,6 +21,7 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
+    check_integer,
     slot_index,
 )
 
@@ -101,6 +102,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="n must be an integer"):
             Partition(n=n, change_points=(5,))
 
+    @pytest.mark.parametrize("cps", ["30", 30, None, {"a": 1}])
+    def test_rejects_change_points_that_are_not_a_list(self, cps):
+        # a string is not read character by character
+        with pytest.raises(ConfigError, match="change points must be a list"):
+            Partition(n=60, change_points=cps)
+
     def test_numpy_integers_become_ints(self):
         part = Partition(n=np.int64(10), change_points=(np.int32(4), np.int64(8)))
         assert part.change_points == (4, 8) and part.n == 10
@@ -108,7 +115,30 @@ class TestPartition:
         assert part.segments() == [(1, 3), (4, 7), (8, 10)]
 
 
+@pytest.mark.parametrize("p", ["1", 1.0, True])
+def test_ar_coefficients_reject_a_p_that_is_not_an_integer(p):
+    with pytest.raises(ConfigError, match=f"^p must be an integer, got {p!r}$"):
+        ArCoefficients(p=p, phi=[[0.5]])
+
+
+def test_check_integer_takes_ints_and_numpy_integers_only():
+    assert check_integer("k", np.int32(3)) == 3 and type(check_integer("k", np.int64(3))) is int
+    for value in (True, np.bool_(True), 3.0, np.float64(3), "3", None):
+        with pytest.raises(ConfigError, match="k must be an integer, got "):
+            check_integer("k", value)
+
+
 class TestDetectorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 1.0), ("p", True), ("L", 10.0), ("L", "10"), ("delta", 5.5), ("delta", None)],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # p=True ran as p=1; a float p, L or delta failed deep in the DP
+        kwargs = {"p": 1, "L": 10, "delta": 5, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            DetectorConfig(**kwargs)
+
     def test_scalar_lambda_broadcast(self):
         cfg = DetectorConfig(p=1, L=4, lam=0.5, gamma=1.0)
         assert np.array_equal(cfg.lam_per_ell, [0.5, 0.5, 0.5, 0.5])

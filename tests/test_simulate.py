@@ -1,11 +1,13 @@
 """Scenario recipes and the piecewise AR simulator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spharcp.bench import make_scenario
+from spharcp.errors import ConfigError
 from spharcp.simulate import ScenarioSpec, build_beta, simulate
 from spharcp.types import ArCoefficients, Partition, SegmentSpec
 
@@ -38,6 +40,16 @@ class TestBuildBeta:
             build_beta(q=11, d=2, L=10)
         with pytest.raises(ValueError):
             build_beta(q=2, d=8, L=10)
+
+    def test_rejects_a_bool_q(self):
+        # a bool is not read as q = 1
+        with pytest.raises(ConfigError, match="q must be an integer, got True"):
+            build_beta(True, 2.0, 10)
+
+    @pytest.mark.parametrize("d", [None, True, "2", [1], math.nan, 9, 8.0])
+    def test_rejects_d_that_is_not_a_number_below_8(self, d):
+        with pytest.raises(ConfigError, match=r"^d must be a number below 8, got "):
+            build_beta(8, d, 10)
 
 
 class TestScenarios:
@@ -172,6 +184,13 @@ class TestSimulate:
     def test_rejects_noncausal_segment(self):
         with pytest.raises(ValueError):
             single_segment_spec(n=50, L=1, phi=1.01, c=1.0, seed=0)
+
+    @pytest.mark.parametrize("field", ["n", "L", "p", "burn_in", "seed"])
+    def test_rejects_a_float_count(self, field):
+        spec = single_segment_spec(n=50, L=2, phi=0.5, c=1.0, seed=9)
+        value = float(getattr(spec, field))
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+            replace(spec, **{field: value})
 
     def test_rejects_spacing_not_exceeding_p(self):
         seg = SegmentSpec(
