@@ -40,8 +40,6 @@ class TestBuildBeta:
             build_beta(q=11, d=2, L=10)
         with pytest.raises(ValueError):
             build_beta(q=2, d=8, L=10)
-
-    def test_rejects_a_bool_q(self):
         # a bool is not read as q = 1
         with pytest.raises(ConfigError, match="q must be an integer, got True"):
             build_beta(True, 2.0, 10)
