@@ -19,6 +19,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_integer(name: str, value) -> int:
     """``value`` of the integer field ``name`` as an ``int``; anything but an ``int``
     or a numpy integer (a bool, a float, a string) is a ``ConfigError``, not truncated."""
@@ -234,10 +238,11 @@ class DetectorConfig:
     lam : float | sequence of float
         L1 penalty level; a scalar applies to every multipole, a
         sequence gives one value per multipole (kept as a tuple). All
-        entries >= 0. Configs compare and hash by p, L, lam, gamma and
-        delta.
+        entries are ints or floats (not bools or strings) and >= 0.
+        Configs compare and hash by p, L, lam, gamma and delta.
     gamma : float
-        Per-segment penalty of the partition objective, finite and >= 0.
+        Per-segment penalty of the partition objective, an int or a float
+        (not a bool or a string), finite and >= 0.
     delta : int
         Minimum admissible segment length, >= p + 1. Default 5.
 
@@ -261,10 +266,16 @@ class DetectorConfig:
             raise ConfigError("p must be between 1 and 5")
         if self.L < 1:
             raise ConfigError("L must be >= 1")
+        if not _is_real(self.gamma):
+            raise ConfigError(f"gamma must be a number, got {self.gamma!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ConfigError("gamma must be finite and >= 0")
         if self.delta < self.p + 1:
             raise ConfigError(f"delta must be >= p + 1 = {self.p + 1}")
+        entries = np.ravel(self.lam).tolist() if isinstance(self.lam, np.ndarray) else self.lam
+        for v in entries if isinstance(entries, (tuple, list)) else (entries,):
+            if not _is_real(v):
+                raise ConfigError(f"lam entries must be numbers, got {v!r}")
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim == 0:
             lam = np.full(self.L, float(lam))

@@ -1,5 +1,7 @@
 """Domain types and spectral diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -138,6 +140,31 @@ class TestDetectorConfig:
         kwargs = {"p": 1, "L": 10, "delta": 5, field: value}
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
             DetectorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value, bad",
+        [
+            ("gamma", True, True),
+            ("gamma", "300", "300"),
+            ("gamma", None, None),
+            ("lam", True, True),
+            ("lam", "0.5", "0.5"),
+            ("lam", None, None),
+            ("lam", [0.5, "0.5"], "0.5"),
+            ("lam", np.array([True, False]), True),
+        ],
+    )
+    def test_rejects_a_penalty_that_is_not_a_number(self, field, value, bad):
+        # gamma=True was kept, "300" or None raised a bare TypeError, and a
+        # bool or string lam was coerced to a number
+        kwargs = {"p": 1, "L": 2, field: value}
+        want = "gamma must be a number" if field == "gamma" else "lam entries must be numbers"
+        with pytest.raises(ConfigError, match=f"^{want}, got {re.escape(repr(bad))}$"):
+            DetectorConfig(**kwargs)
+
+    def test_accepts_numpy_penalties(self):
+        cfg = DetectorConfig(p=1, L=2, lam=np.float32(0.5), gamma=np.int64(3))
+        assert np.array_equal(cfg.lam_per_ell, [0.5, 0.5]) and cfg.gamma == 3
 
     def test_scalar_lambda_broadcast(self):
         cfg = DetectorConfig(p=1, L=4, lam=0.5, gamma=1.0)

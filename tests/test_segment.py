@@ -179,15 +179,46 @@ def test_detect_gammas_matches_detect_bitwise(p, lam, n):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize(
-    "n, data",
-    [(40, "random"), (8, "random"), (40, "zeros"), (40, "spikes")],
-    ids=["full-dp", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
+    "n, L, data, delta",
+    [
+        (40, 3, "random", 5),
+        (8, 3, "random", 5),
+        (40, 3, "zeros", 5),
+        (40, 3, "spikes", 5),
+        (40, 3, "random", "p+1"),
+        (40, 3, "random", 7),
+        (43, 3, "random", 5),
+        (40, 3, "zeros", 7),
+        (40, 3, "spikes", "p+1"),
+        (None, 10, "random", 5),
+    ],
+    ids=[
+        "full-dp",
+        "shorter-than-2-delta",
+        "all-zero-ties",
+        "equal-cost-ties",
+        "full-dp-delta-p+1",
+        "full-dp-delta-7",
+        "short-last-window",
+        "all-zero-ties-delta-7",
+        "equal-cost-ties-delta-p+1",
+        "late-blocks-under-delta",
+    ],
 )
-def test_detect_grid_matches_detect_bitwise(p, n, data):
-    series, gamma = tie_series(n, 3, data, seed=64 + p)
-    config = DetectorConfig(p=p, L=3, delta=5)
-    lams = (0.0, 0.5, (0.2, 0.0, 1.5))
+def test_detect_grid_matches_detect_bitwise(p, n, L, data, delta):
+    # a grid steps windows of up to delta ends within a block, detect one end at a time
+    delta = p + 1 if delta == "p+1" else delta
+    n = 180 // p if n is None else n
+    series, gamma = tie_series(n, L, data, seed=64 + p)
+    config = DetectorConfig(p=p, L=L, delta=delta)
+    lams = (0.0, 0.5, tuple((0.2, 0.0, 1.5)[ell % 3] for ell in range(L)))
     gammas = (gamma, 0.0, 1e12)
+    # the last window at n=43, and the late blocks at L=10, hold fewer than delta ends
+    sizes = [e1 - e0 + 1 for e0, e1 in IntervalLossEngine(series, config, lams).blocks(delta - 1)]
+    if n == 43:
+        assert sizes[-1] % delta != 0
+    if L == 10:
+        assert min(sizes[:-1]) < delta
     results = detect_grid(series, config, lams, gammas)
     assert len(results) == len(lams) * len(gammas)
     for i, lam in enumerate(lams):
