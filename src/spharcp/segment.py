@@ -12,15 +12,15 @@ ends in the block. One engine fits each block at every LASSO penalty
 lambda at once, and the losses do not depend on gamma, so ``detect_grid``
 runs one recursion for a whole (lambda, gamma) grid, with one Bellman row
 per (lambda, gamma); ``detect`` is that recursion at the single lambda
-and gamma of its config. One row steps end by end, over every start
-1..e-delta+1 in one slice; two or more rows step one window of up to
-delta ends at a time, every row at once (see ``detect_grid``). Each step
-takes the ``argmin`` of the candidate costs and keeps it when that least
-cost is unique; an exact tie is decided by a stable ``lexsort`` over
-cost, then fewer segments, with the candidates listed from the larger
-start down (``_tie_break``). The same recursion serves every series
-length: when n < 2 delta its only finite start is 1, so it returns the
-single segment, with its Bellman table and a warning.
+and gamma of its config. The Bellman step takes one window of up to
+delta ends at a time, every row at once, whatever the row count, over
+every start 1..e-delta+1 of each end (see ``detect_grid``). It takes the
+``argmin`` of the candidate costs and keeps it when that least cost is
+unique; an exact tie is decided by a stable ``lexsort`` over cost, then
+fewer segments, with the candidates listed from the larger start down
+(``_tie_break``). The same recursion serves every series length: when
+n < 2 delta its only finite start is 1, so it returns the single
+segment, with its Bellman table and a warning.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     Runs the exact minimal-partitioning recursion over all segmentations
     whose segments have length >= ``config.delta``. Each block of
     segment ends fits every admissible [s, e] in one
-    ``IntervalLossEngine.fit_block`` call. Ties in cost are broken toward
+    ``IntervalLossEngine.fit_block`` call, and the one Bellman step of
+    ``detect_grid`` runs its single row. Ties in cost are broken toward
     fewer segments, then toward the larger start of the last segment: a
     unique least cost is taken by ``argmin`` and only an exact tie pays
     for a ``lexsort`` over (cost, segments). Deterministic for fixed inputs.
@@ -123,8 +124,8 @@ def detect_grid(
     and gamma is validated by ``DetectorConfig``. An empty ``lams`` or
     ``gammas`` gives ``()``.
 
-    The Bellman step of end e reads every start s = 1..k, k = e - m0 with
-    m0 = min(delta, n) - 1, as one slice from the largest start down:
+    The Bellman step reads, for end e, every start s = 1..k, k = e - m0
+    with m0 = min(delta, n) - 1, from the largest start down:
     ``best[s - 1] + loss([s, e]) + gamma``. The admissible starts are 1 and
     delta+1..k. The others, 2..delta, read the prefixes 1..delta-1, which
     no end below delta writes, so they stay +inf; the losses are finite
@@ -133,16 +134,15 @@ def detect_grid(
     and the stable ``lexsort`` take the first of equal candidates, the
     largest start.
 
-    A single row steps end by end; two or more rows step together over a
-    window of up to m0 + 1 consecutive ends of a block, whose ends read
-    only prefixes below the window's first end (end e reads up to
-    e - m0 - 1). The window's costs are the same sums over the starts of
-    its last end, +inf past each end's own largest start. A cost is never
-    NaN (the losses are finite, ``best`` is finite or +inf, gamma is
-    finite), so a first and a last ``argmin`` that differ mark exactly a
-    tie, and only ties take the ``lexsort``. The step is picked by row
-    count: at one row a window makes more numpy calls than it saves (a
-    1x1 epidemic grid took a median 18.4 ms windowed, 16.3 ms per end).
+    The rows, however many, step together over a window of up to m0 + 1
+    consecutive ends of a block, whose ends read only prefixes below the
+    window's first end (end e reads up to e - m0 - 1). The window's
+    costs are the same sums over the starts of its last end, +inf past
+    each end's own largest start. A cost is never NaN (the losses are
+    finite, ``best`` is finite or +inf, gamma is finite), so each (row,
+    end) holds at least one cost equal to its least: the window has a tie
+    exactly when the count of such costs exceeds the count of (row, end)
+    pairs, and only the pairs holding more than one take the ``lexsort``.
     """
     configs = tuple(
         replace(config, lam=lam, gamma=gamma)
@@ -162,13 +162,13 @@ def detect_grid(
     back = np.full(shape, -1, dtype=int)
 
     m0 = min(delta, n) - 1
+    gamma_column = np.asarray(gammas, dtype=float)[:, None, None]
+    # the flat index of prefix s - 1 of row r is row_offsets[r] + s
+    row_offsets = np.arange(-1, nseg.size - 1, n + 1)[:, None]
     for e0, e1 in engine.blocks(m0):
         _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
         losses = rss.sum(axis=-1)
-        if len(configs) == 1:
-            _end_steps(best[0], nseg[0], back[0], losses[0], gammas[0], e0, m0)
-        else:
-            _window_steps(best, nseg, back, losses, gammas, e0, m0)
+        _window_steps(best, nseg, back, losses, gamma_column, row_offsets, e0, m0)
 
     warning = None
     if n < 2 * delta:
@@ -190,45 +190,20 @@ def _tie_break(cost: np.ndarray, nseg: np.ndarray) -> int:
     return int(np.lexsort((nseg, cost))[0])
 
 
-def _end_steps(
-    best: np.ndarray,
-    nseg: np.ndarray,
-    back: np.ndarray,
-    losses: np.ndarray,
-    gamma: float,
-    e0: int,
-    m0: int,
-) -> None:
-    """One Bellman row: the step of each end e0, e0+1, .. of a block in turn,
-    ``losses[b, m - m0]`` being the loss of [e - m, e] for end e = e0 + b."""
-    for b, row in enumerate(losses):
-        # the starts k, k-1, .., 1 of end e, read off the prefixes k-1, .., 0
-        e = e0 + b
-        k = e - m0
-        cost = best[k - 1 :: -1] + row[:k]
-        cost += gamma
-        i = cost.argmin()
-        # a unique least cost wins outright; ties (and NaN) take the
-        # stable order of _tie_break
-        if np.count_nonzero(cost == cost[i]) != 1:
-            i = _tie_break(cost, nseg[k - 1 :: -1])
-        best[e] = cost[i]
-        nseg[e] = nseg[k - 1 - i] + 1
-        back[e] = k - i
-
-
 def _window_steps(
     best: np.ndarray,
     nseg: np.ndarray,
     back: np.ndarray,
     losses: np.ndarray,
-    gammas: Sequence[float],
+    gamma_column: np.ndarray,
+    row_offsets: np.ndarray,
     e0: int,
     m0: int,
 ) -> None:
     """Every Bellman row (lambda-major, then gamma) over a block's ends, one
     window of up to m0 + 1 ends at a time, ``losses[lam, b, m - m0]`` being
-    the loss of [e - m, e] for end e = e0 + b."""
+    the loss of [e - m, e] for end e = e0 + b; ``gamma_column`` holds the
+    gammas as a (gammas, 1, 1) column."""
     n_lam, n_ends, n_spans = losses.shape
     # start-aligned losses: starts[lam, b, i] is the loss of start n_spans - i
     # at end e0 + b, +inf past that end's largest start e0 + b - m0. Row b
@@ -239,26 +214,27 @@ def _window_steps(
     padded = flat[:, : n_ends * width].reshape(n_lam, n_ends, width)
     padded[..., n_ends - 1 :] = losses
     starts = flat.reshape(n_lam, 1, n_ends, width + 1)
-    rows = best.reshape(n_lam, len(gammas), 1, -1)
-    gammas = np.asarray(gammas, dtype=float)[:, None, None]
-    at = np.arange(len(best))[:, None]
+    rows = best.reshape(n_lam, len(gamma_column), 1, -1)
     for b0 in range(0, n_ends, m0 + 1):
         b1 = min(b0 + m0 + 1, n_ends)
         # the starts k, k-1, .., 1 of the window's last end; every one reads a
         # prefix below the window's first end, so no end waits on another
         k = e0 + b1 - 1 - m0
         cost = rows[..., k - 1 :: -1] + starts[..., b0:b1, n_spans - k : n_spans]
-        cost += gammas
+        cost += gamma_column
         cost = cost.reshape(len(best), b1 - b0, k)
+        low = cost.min(axis=-1)
         i = cost.argmin(axis=-1)
-        prior = nseg[:, k - 1 :: -1]
-        # the first and the last least cost differ only at an exact tie
-        for r, w in zip(*np.nonzero(i != k - 1 - cost[..., ::-1].argmin(axis=-1))):
-            i[r, w] = _tie_break(cost[r, w], prior[r])
+        least = cost == low[..., None]
+        # a unique least cost wins outright; only ties take _tie_break
+        if np.count_nonzero(least) != low.size:
+            for r, w in zip(*np.nonzero(np.count_nonzero(least, axis=-1) > 1)):
+                i[r, w] = _tie_break(cost[r, w], nseg[r, k - 1 :: -1])
+        start = k - i
         ends = slice(e0 + b0, e0 + b1)
-        best[:, ends] = cost[at, np.arange(b1 - b0), i]
-        nseg[:, ends] = prior[at, i] + 1
-        back[:, ends] = k - i
+        best[:, ends] = low
+        nseg[:, ends] = nseg.take(row_offsets + start) + 1
+        back[:, ends] = start
 
 
 def _traceback(

@@ -50,9 +50,9 @@ class CoefficientSeries:
     Parameters
     ----------
     n : int
-        Number of timestamps.
+        Number of timestamps, an integer (see ``check_integer``) >= 1.
     L : int
-        Number of multipoles (exclusive upper bound on ell).
+        Number of multipoles (exclusive upper bound on ell), an integer >= 1.
     data : np.ndarray
         Shape ``(n, L*L)`` array; column ``slot_index(ell, m)`` holds the
         stream of component (ell, m). All values must be finite.
@@ -63,6 +63,11 @@ class CoefficientSeries:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("n", "L"):
+            value = check_integer(name, getattr(self, name))
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.n, self.L * self.L):
             raise ValueError(

@@ -72,6 +72,26 @@ class TestCoefficientSeries:
         assert s.value(2, 1, -1) == data[1, 1]
         assert np.array_equal(s.stream(1, 1), data[:, 3])
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 12.0), ("n", True), ("L", 2.0), ("L", "2"), ("L", None)]
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # n=12.0 and L=2.0 were kept; writing or detecting the series then
+        # raised a bare TypeError
+        kwargs = {"n": 12, "L": 2, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            CoefficientSeries(**kwargs, data=np.zeros((12, 4)))
+
+    @pytest.mark.parametrize("field", ["n", "L"])
+    def test_rejects_a_count_below_one(self, field):
+        kwargs = {"n": 12, "L": 2, field: 0}
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1$"):
+            CoefficientSeries(**kwargs, data=np.zeros((12, 4)))
+
+    def test_numpy_integer_counts_become_ints(self):
+        s = CoefficientSeries(n=np.int64(3), L=np.int32(1), data=np.zeros((3, 1)))
+        assert type(s.n) is int and type(s.L) is int and (s.n, s.L) == (3, 1)
+
 
 class TestPartition:
     def test_segments_tile_range(self):

@@ -206,7 +206,8 @@ def test_detect_gammas_matches_detect_bitwise(p, lam, n):
     ],
 )
 def test_detect_grid_matches_detect_bitwise(p, n, L, data, delta):
-    # a grid steps windows of up to delta ends within a block, detect one end at a time
+    # one Bellman step serves every row count, so this checks that a grid's
+    # rows are independent: each is the row its single setting gives alone
     delta = p + 1 if delta == "p+1" else delta
     n = 180 // p if n is None else n
     series, gamma = tie_series(n, L, data, seed=64 + p)
@@ -273,20 +274,24 @@ def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
 
-def fresh_bellman(series, config):
+def fresh_bellman(series, config, losses=None):
     """Bellman table from single-interval fits in plain Python loops.
 
     Ties go to fewer segments, then to the larger start, as in ``detect``.
+    ``losses`` keeps the interval losses by (s, e), so that calls at one
+    lambda and several gammas fit each interval once.
     """
     ref = IntervalLossEngine(series, config)
+    losses = {} if losses is None else losses
     n, delta = series.n, config.delta
     best, nseg, back = [0.0] + [math.inf] * n, [0] * (n + 1), [-1] * (n + 1)
     for e in range(delta, n + 1):
-        cands = [
-            (best[s - 1] + ref.fit(s, e).loss + config.gamma, nseg[s - 1] + 1, -s)
-            for s in range(1, e - delta + 2)
-            if math.isfinite(best[s - 1])
-        ]
+        cands = []
+        for s in range(1, e - delta + 2):
+            if math.isfinite(best[s - 1]):
+                if (s, e) not in losses:
+                    losses[s, e] = ref.fit(s, e).loss
+                cands.append((best[s - 1] + losses[s, e] + config.gamma, nseg[s - 1] + 1, -s))
         best[e], nseg[e], minus_s = min(cands)
         back[e] = -minus_s
     return best, nseg, back
@@ -310,10 +315,11 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, shortest, n, data):
         n, delta = n // 2, p + 1
     series, gamma = tie_series(n, L, data, seed=80 + p)
     config = DetectorConfig(p=p, L=L, lam=0.3, gamma=gamma, delta=delta)
-    result = detect(series, config)
+    # detect, then every row of a grid, each against the oracle at its config
+    results = (detect(series, config), *detect_grid(series, config, (0.3, 0.0), (gamma, 0.0)))
     ref = IntervalLossEngine(series, config)
     if n < 2 * config.delta:
-        assert result.warning is not None
+        assert all(result.warning is not None for result in results)
     elif data == "random" and not shortest:
         # several blocks, the last cut at n with rows to spare for one more
         # end (lambda > 0: 2^p sign rows per interval and multipole)
@@ -322,14 +328,18 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, shortest, n, data):
         e0, e1 = blocks[-1]
         assert len(blocks) > 1 and e1 == n
         assert (e1 - e0 + 2) * (e1 + 1 - m0) * (L << p) <= estimate._BLOCK_ROWS
-    best, nseg, back = fresh_bellman(series, config)
-    assert result.dp.best_cost.tolist() == best
-    assert result.dp.n_segments.tolist() == nseg
-    assert result.dp.back_pointer.tolist() == back
-    assert result.objective == best[n]
-    for got in result.fits:
-        want = ref.fit(*got.interval)
-        assert np.array_equal(got.phi, want.phi) and np.array_equal(got.rss, want.rss)
+    losses = {}
+    for result in results:
+        row = result.config
+        best, nseg, back = fresh_bellman(series, row, losses.setdefault(row.lam, {}))
+        assert result.dp.best_cost.tolist() == best
+        assert result.dp.n_segments.tolist() == nseg
+        assert result.dp.back_pointer.tolist() == back
+        assert result.objective == best[n]
+        row_ref = IntervalLossEngine(series, row)
+        for got in result.fits:
+            want = row_ref.fit(*got.interval)
+            assert np.array_equal(got.phi, want.phi) and np.array_equal(got.rss, want.rss)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
