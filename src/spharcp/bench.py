@@ -7,7 +7,9 @@ series and scores one ``detect_grid`` pass at every setting, and a
 single setting is a 1 x 1 grid; ``tuning-grid`` is the epidemic with
 its own default grid. Replicate r uses seed ``base_seed + r`` and runs
 independently, so results are bit-reproducible regardless of worker
-count.
+count. Only a run with two or more workers imports the process pool, so
+``import spharcp`` and every serial run skip ``concurrent.futures`` and
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,9 @@ def _map(fn, jobs: list[tuple], threads: int | None) -> list:
     workers = min(resolve_threads(threads), len(jobs))
     if workers == 1:
         return [fn(*job) for job in jobs]
+    # Imported only here, so ``import spharcp`` and serial runs skip the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 

@@ -188,11 +188,9 @@ def _segment_to_json(seg: SegmentSpec) -> dict:
 
 def _segment_from_json(obj: dict, p: int) -> SegmentSpec:
     return SegmentSpec(
-        coeffs=ArCoefficients(p=p, phi=np.asarray(obj["phi"], dtype=float)),
-        noise_spectrum=np.asarray(obj["noise_spectrum"], dtype=float),
-        intercept=None
-        if obj.get("intercept") is None
-        else np.asarray(obj["intercept"], dtype=float),
+        coeffs=ArCoefficients(p=p, phi=obj["phi"]),
+        noise_spectrum=obj["noise_spectrum"],
+        intercept=obj.get("intercept"),
     )
 
 
@@ -266,8 +264,9 @@ def truth_to_scenario(doc: dict) -> ScenarioSpec:
 
     ``change_points`` defaults to none and ``junction`` to "continue".
     Each field is checked by the type that uses it (``Partition``,
-    ``ArCoefficients``, ``ScenarioSpec``): a float, a string or a bool
-    where an integer belongs is a ``ConfigError`` naming the field.
+    ``ArCoefficients``, ``SegmentSpec``, ``ScenarioSpec``): a float, a
+    string or a bool where an integer belongs, or a string, a bool or null
+    in a real array, is a ``ConfigError`` naming the field.
     """
     return ScenarioSpec(
         n=doc["n"],

@@ -12,15 +12,8 @@ ends in the block. One engine fits each block at every LASSO penalty
 lambda at once, and the losses do not depend on gamma, so ``detect_grid``
 runs one recursion for a whole (lambda, gamma) grid, with one Bellman row
 per (lambda, gamma); ``detect`` is that recursion at the single lambda
-and gamma of its config. The Bellman step takes one window of up to
-delta ends at a time, every row at once, whatever the row count, over
-every start 1..e-delta+1 of each end (see ``detect_grid``). It takes the
-``argmin`` of the candidate costs and keeps it when that least cost is
-unique; an exact tie is decided by a stable ``lexsort`` over cost, then
-fewer segments, with the candidates listed from the larger start down
-(``_tie_break``). The same recursion serves every series length: when
-n < 2 delta its only finite start is 1, so it returns the single
-segment, with its Bellman table and a warning.
+and gamma of its config. The Bellman step, its tie rule, the admissible
+starts and why no cost is NaN are stated once, in ``detect_grid``.
 """
 
 from __future__ import annotations
@@ -45,8 +38,7 @@ class DpTable:
     (``best_cost[0] = 0``), ``back_pointer[e]`` the start of the last
     segment at that optimum, and ``n_segments[e]`` the number of segments
     of that optimum. The prefixes 1..delta-1 admit no partition and keep
-    +inf, -1 and 0: the recursion reads them as the cost of its
-    inadmissible starts 2..delta.
+    +inf, -1 and 0 (``detect_grid`` says how the recursion reads them).
     """
 
     best_cost: np.ndarray
@@ -87,22 +79,15 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     """Detect change points of a coefficient series.
 
     Runs the exact minimal-partitioning recursion over all segmentations
-    whose segments have length >= ``config.delta``. Each block of
-    segment ends fits every admissible [s, e] in one
-    ``IntervalLossEngine.fit_block`` call, and the one Bellman step of
-    ``detect_grid`` runs its single row. Ties in cost are broken toward
-    fewer segments, then toward the larger start of the last segment: a
-    unique least cost is taken by ``argmin`` and only an exact tie pays
-    for a ``lexsort`` over (cost, segments). Deterministic for fixed inputs.
+    whose segments have length >= ``config.delta``: the single row of
+    ``detect_grid``, whose docstring gives the tie rule and the short
+    series case. Deterministic for fixed inputs.
 
     Returns
     -------
     DetectionResult
-        If the series is shorter than two admissible segments
-        (n < 2 delta), the recursion's only admissible start is 1: the
-        single-segment partition comes back with its DP table and a
-        warning instead of failing. A series of n <= p timestamps cannot
-        be fitted and raises ``ValueError``.
+        The single segment, with a warning, when n < 2 delta. A series of
+        n <= p timestamps cannot be fitted and raises ``ValueError``.
     """
     return detect_grid(series, config, (config.lam,), (config.gamma,))[0]
 
@@ -130,9 +115,15 @@ def detect_grid(
     delta+1..k. The others, 2..delta, read the prefixes 1..delta-1, which
     no end below delta writes, so they stay +inf; the losses are finite
     (the rss is clamped at 0 and the engine rejects products that
-    overflow), so these starts cost +inf and never win or tie. ``argmin``
-    and the stable ``lexsort`` take the first of equal candidates, the
-    largest start.
+    overflow), so these starts cost +inf and never win or tie. When
+    n < 2 delta, 1 is the only admissible start of every end, so every
+    result is the single segment, with its Bellman table and a warning.
+
+    The least cost wins, and an exact tie goes to fewer segments, then to
+    the larger start of the last segment. A unique least cost is taken by
+    ``argmin``; only a tie pays for the stable ``lexsort`` over (cost,
+    segments) of ``_tie_break``. Both take the first of equal candidates,
+    the largest start.
 
     The rows, however many, step together over a window of up to m0 + 1
     consecutive ends of a block, whose ends read only prefixes below the

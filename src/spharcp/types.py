@@ -31,6 +31,38 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def _leaves(items):
+    for item in items:
+        if isinstance(item, (list, tuple)):
+            yield from _leaves(item)
+        else:
+            yield item
+
+
+def check_real_array(name: str, value) -> np.ndarray:
+    """``value`` of the real-valued array field ``name`` as a float array.
+
+    A numpy array passes when its dtype is integer or float, without a
+    look at its entries; a list or a tuple (nested or not) when every
+    entry is an int or a float, not a bool or a string. Anything else
+    (``None``, a string, a mapping, a scalar) is a ``ConfigError`` naming
+    the field, not coerced.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise ConfigError(f"{name} must hold numbers, got an array of {value.dtype}")
+    elif isinstance(value, (list, tuple)):
+        for item in _leaves(value):
+            if not _is_real(item):
+                raise ConfigError(f"{name} entries must be numbers, got {item!r}")
+    else:
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:  # a ragged list
+        raise ConfigError(f"{name} must be a rectangular array: {exc}") from None
+
+
 def slot_index(ell: int | np.ndarray, m: int | np.ndarray) -> int | np.ndarray:
     """Flat storage slot of the (ell, m) harmonic component.
 
@@ -55,7 +87,8 @@ class CoefficientSeries:
         Number of multipoles (exclusive upper bound on ell), an integer >= 1.
     data : np.ndarray
         Shape ``(n, L*L)`` array; column ``slot_index(ell, m)`` holds the
-        stream of component (ell, m). All values must be finite.
+        stream of component (ell, m). All values must be finite numbers
+        (see ``check_real_array``).
     """
 
     n: int
@@ -68,7 +101,7 @@ class CoefficientSeries:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
-        data = np.asarray(self.data, dtype=float)
+        data = check_real_array("data", self.data)
         if data.shape != (self.n, self.L * self.L):
             raise ValueError(
                 f"data shape {data.shape} does not match (n, L*L) = "
@@ -106,7 +139,8 @@ class ArCoefficients:
     """Per-multipole autoregressive coefficient vectors.
 
     ``phi`` has shape ``(L, p)``; row ell is the length-p coefficient
-    vector of multipole ell.
+    vector of multipole ell. ``phi``, like every real array field of the
+    domain types, is checked by ``check_real_array``.
     """
 
     p: int
@@ -114,7 +148,7 @@ class ArCoefficients:
 
     def __post_init__(self) -> None:
         check_integer("p", self.p)
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
+        phi = np.atleast_2d(check_real_array("phi", self.phi))
         if phi.ndim != 2 or phi.shape[1] != self.p:
             raise ValueError(f"phi must have shape (L, p={self.p}), got {phi.shape}")
         if not np.isfinite(phi).all():
@@ -146,7 +180,7 @@ class SegmentSpec:
     intercept: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.noise_spectrum, dtype=float)
+        c = check_real_array("noise_spectrum", self.noise_spectrum)
         if c.shape != (self.coeffs.L,):
             raise ValueError(
                 f"noise_spectrum must have shape (L,) = ({self.coeffs.L},), got {c.shape}"
@@ -161,7 +195,7 @@ class SegmentSpec:
             bad = int(np.flatnonzero(~flags)[0])
             raise ValueError(f"segment is not causal at multipole {bad}")
         if self.intercept is not None:
-            mu = np.asarray(self.intercept, dtype=float)
+            mu = check_real_array("intercept", self.intercept)
             L = self.coeffs.L
             if mu.shape != (L * L,):
                 raise ValueError(f"intercept must be flat length L*L = {L * L}")

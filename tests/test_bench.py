@@ -1,5 +1,8 @@
 """Benchmark harness plumbing: scenarios, seeds, worker resolution."""
 
+import subprocess
+import sys
+
 import pytest
 
 from spharcp import bench
@@ -132,3 +135,16 @@ def test_tuning_grid_same_for_any_worker_count():
     assert list(serial) == list(pooled)
     for key, records in serial.items():
         assert [r.est_cps for r in records] == [r.est_cps for r in pooled[key]]
+
+
+def test_import_loads_no_process_pool():
+    # A fresh interpreter: the threads=2 test above imports the pool here.
+    code = (
+        "import sys, spharcp, spharcp.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert child.stdout.strip() == "[]"

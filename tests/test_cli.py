@@ -139,6 +139,28 @@ def test_simulate_non_integer_field_exits_2_and_writes_nothing(
     assert not out.exists() and not (tmp_path / "x.truth.json").exists()
 
 
+@pytest.mark.parametrize("field", ["phi", "noise_spectrum", "intercept"])
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("0.5", "'0.5'"), (True, "True"), (None, "None"), ({"a": 0.5}, "{'a': 0.5}")],
+    ids=["string", "bool", "null", "object"],
+)
+def test_simulate_real_entry_that_is_not_a_number_exits_2_and_writes_nothing(
+    tmp_path, tiny_config, capsys, field, entry, shown
+):
+    # a string or a bool in a real array was read as a number, and both files written
+    cfg = json.loads(tiny_config.read_text())
+    segment = cfg["segments"][0]
+    segment["intercept"] = [0.0, 0.0, 0.0, 0.0]
+    row = segment["phi"][0] if field == "phi" else segment[field]
+    row[0] = entry
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} entries must be numbers, got {shown}\n"
+    assert not out.exists() and not (tmp_path / "x.truth.json").exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"],

@@ -24,6 +24,7 @@ from spharcp.types import (
     Partition,
     SegmentSpec,
     check_integer,
+    check_real_array,
     slot_index,
 )
 
@@ -148,6 +149,52 @@ def test_check_integer_takes_ints_and_numpy_integers_only():
     for value in (True, np.bool_(True), 3.0, np.float64(3), "3", None):
         with pytest.raises(ConfigError, match="k must be an integer, got "):
             check_integer("k", value)
+
+
+def test_check_real_array_takes_numbers_only():
+    for value in ([[1, 0.5]], ((1,), (np.float32(2),)), [np.int64(3)], np.arange(3), np.ones(2)):
+        out = check_real_array("x", value)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.asarray(value, dtype=float))
+    for value, message in (
+        (np.array([True]), "x must hold numbers, got an array of bool"),
+        (np.array(["1.0"]), "x must hold numbers, got an array of <U3"),
+        ([[1.0], [np.bool_(True)]], f"x entries must be numbers, got {np.bool_(True)!r}"),
+        ((1.0, b"1"), "x entries must be numbers, got b'1'"),
+        ("1.0", "x must be a list of numbers, got '1.0'"),
+        (1.0, "x must be a list of numbers, got 1.0"),
+        (None, "x must be a list of numbers, got None"),
+        ({"a": [1.0]}, "x must be a list of numbers, got {'a': [1.0]}"),
+        ([[1.0], [1.0, 2.0]], "x must be a rectangular array: "),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            check_real_array("x", value)
+
+
+# one builder per real-valued field of the domain types, from one row of that field
+REAL_FIELDS = {
+    "phi": lambda row: ArCoefficients(p=1, phi=[row]),
+    "noise_spectrum": lambda row: SegmentSpec(
+        coeffs=ArCoefficients(p=1, phi=[[0.5]]), noise_spectrum=row
+    ),
+    "intercept": lambda row: SegmentSpec(
+        coeffs=ArCoefficients(p=1, phi=[[0.5]]), noise_spectrum=[1.0], intercept=row
+    ),
+    "data": lambda row: CoefficientSeries(n=2, L=1, data=[[1.5], row]),
+}
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("0.5", "'0.5'"), (True, "True"), (None, "None"), ({"a": 0.5}, "{'a': 0.5}")],
+    ids=["string", "bool", "null", "object"],
+)
+def test_real_fields_reject_an_entry_that_is_not_a_number(field, entry, shown):
+    REAL_FIELDS[field]([0.5])
+    message = f"{field} entries must be numbers, got {shown}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        REAL_FIELDS[field]([entry])
 
 
 class TestDetectorConfig:

@@ -275,6 +275,21 @@ class TestTruthDocument:
         # the rebuilt scenario simulates to the identical series
         assert np.array_equal(simulate(rebuilt).data, simulate(spec).data)
 
+    def test_truth_round_trip_is_byte_identical(self, tmp_path):
+        # every real array is read back from JSON lists, int entries included
+        doc = {
+            "n": 40, "L": 2, "p": 1, "change_points": [20], "burn_in": 10, "seed": 3,
+            "segments": [
+                {"phi": [[0.5], [-0.25]], "noise_spectrum": [1, 0.5],
+                 "intercept": [1.5, 0, -2, 3]},
+                {"phi": [[-0.5], [0]], "noise_spectrum": [1.0, 2.0], "intercept": None},
+            ],
+        }
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_truth(first, truth_to_scenario(doc))
+        write_truth(second, truth_to_scenario(read_truth(first)))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"kind": "other"}')
