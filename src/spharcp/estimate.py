@@ -7,16 +7,15 @@ the unpenalized residual sum at the penalized estimate.
 
 All interval computations reduce to per-timestamp cross products summed
 over m, so a fit touches exactly the data inside its interval. The
-dynamic program asks for the losses of a block of consecutive segment
-ends at once (``IntervalLossEngine.fit_block``), each block holding as
-many ends as its intervals' solver rows allow (``blocks``), so the early
-ends, which have few admissible spans, share a call. One cumulative sum over
-a slice of one sliding-window view of the time-reversed products gives
-the moments of every interval in the block, and one exact LASSO solve
-fits them all at every penalty lambda of the engine, so a tuning sweep
-pays for the moments once per block whatever the number of lambdas. The
-solve returns each fit's objective, and the residual sum is read off it
-in closed form: syy + objective - 2 thr ||phi||_1.
+dynamic program walks the segment ends forward and keeps the moments of
+every start: each new end adds its product row to all of them with one
+add (``IntervalLossEngine.fit_blocks``). The rows of a block of
+consecutive ends, as many as their solver rows allow (``blocks``), are
+fitted by one exact LASSO solve at every penalty lambda of the engine, so
+a tuning sweep pays for the moments once whatever the number of lambdas,
+and the losses come out laid out by start, as the Bellman step reads
+them. The solve returns each fit's objective, and the residual sum is
+read off it in closed form: syy + objective - 2 thr ||phi||_1.
 """
 
 from __future__ import annotations
@@ -188,8 +187,9 @@ class IntervalFit:
     """Penalized fit of one interval [s, e] (1-based, inclusive).
 
     ``phi`` has shape (L, p); ``rss`` the per-multipole unpenalized
-    residual sums; ``loss`` is exactly ``rss.sum()``; ``n_eff`` the
-    number of loss timestamps e - s - p + 1.
+    residual sums; ``loss`` is their sum, added in multipole order as the
+    dynamic program adds it; ``n_eff`` the number of loss timestamps
+    e - s - p + 1.
     """
 
     interval: tuple[int, int]
@@ -199,35 +199,33 @@ class IntervalFit:
     n_eff: int
 
 
-# Solver rows per block call at one lambda, counting each (interval,
-# multipole) row once per sign vector a full support holds: 2^p, or p = 1's
-# two when every lambda of the engine is 0 and ``_lasso_solve`` keeps one
-# sign vector per support of two or more coordinates. (Counting that one
-# row alone would give p >= 2 blocks twice p = 1's, for more memory and
-# little speed.) A block counts the intervals it fits, its ends times the
-# spans each is fitted at, so early ends, with few spans, share a block
-# and the working set stays bounded whatever n. Only a block of one end
-# may hold more. An engine with several lambdas holds that many times the
-# rows per call; counting them in the budget would shrink the tuning
-# sweep's blocks to one end, and the per-call overhead then costs more
-# than batching the lambdas saves.
+# Solver rows per block at one lambda, counting each (interval, multipole)
+# row once per sign vector a full support holds: 2^p, or p = 1's two when
+# every lambda of the engine is 0 and ``_lasso_solve`` keeps one sign vector
+# per support of two or more coordinates. (Counting that one row alone would
+# give p >= 2 blocks twice p = 1's, for more memory and little speed.) A
+# block counts its ends times the starts whose moments it holds, so early
+# ends, with few starts, share a block and the working set stays bounded
+# whatever n. Only a block of one end may hold more. An engine with several
+# lambdas holds that many times the rows per block; counting them in the
+# budget would shrink the tuning sweep's blocks to one end, and the
+# per-block overhead then costs more than batching the lambdas saves.
 _BLOCK_ROWS = 16384
 
 
 class IntervalLossEngine:
     """Fits intervals of one series under one config, reusing shared products.
 
-    Construction precomputes the per-timestamp cross products once, in one
-    copy reversed in time with time innermost, and one sliding-window view
-    of it that every block slices. The engine fits at every penalty in
-    ``lams`` (each a scalar or per-multipole ``lam`` of the config; by
-    default the config's own), so the products and moments serve them
-    all. ``fit_block`` fits every interval of a block of segment ends at
-    every lambda with one cumulative sum and one exact LASSO solve, and
-    ``fit(s, e, lam_index)`` is its one-end, one-start case. ``blocks``
-    tiles the segment ends into blocks whose intervals' solver rows fit
-    ``_BLOCK_ROWS``. Instances are immutable after construction and safe
-    to share across threads.
+    Construction precomputes the per-timestamp cross products once, laid
+    out (time, pair, multipole), and the penalty thresholds of every
+    interval length, at every penalty in ``lams`` (each a scalar or
+    per-multipole ``lam`` of the config; by default the config's own), so
+    the products and moments serve them all. ``fit_blocks`` walks the
+    segment ends forward, keeping the running moments of every start, and
+    fits every interval of a block of ends (``blocks``) at every lambda
+    with one exact LASSO solve; ``fit(s, e, lam_index)`` fits one interval
+    from the same forward sum. Instances are immutable after construction
+    and safe to share across threads.
 
     Construction raises ``DegenerateFitError``, naming the first multipole
     at fault, when a product, or 4 times the sum over t and the multipoles
@@ -253,19 +251,25 @@ class IntervalLossEngine:
         # each lambda is validated as the config's lam would be
         lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
         n, L, p = series.n, config.L, config.p
-        # at lambda = 0 everywhere the rss needs no ||phi||_1 term (fit_block)
+        # at lambda = 0 everywhere the rss needs no ||phi||_1 term (_solve)
         self._penalized = bool(lam.any())
         # solver rows of one interval at one lambda (_BLOCK_ROWS)
         self._interval_rows = L << (p if self._penalized else 1)
         prod = per_time_products(series, p, L)
-        # column j holds time n - j; the NaN tail lets every window of a block fit
-        rev = np.full((prod.shape[2], L, 2 * n), np.nan)
-        rev[:, :, :n] = prod.transpose(2, 1, 0)[:, :, ::-1]
-        # window j starts at time n - j and runs back in time
-        self._windows = sliding_window_view(rev, n, axis=-1)
-        widths = 2.0 * np.arange(L) + 1.0
-        n_eff = np.arange(1, n + 1)
-        self._thr = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
+        # row t - 1 is time t's products as a (pairs, L, 1) column of moments
+        self._prod = prod.transpose(0, 2, 1)[..., None].copy()
+        if self._penalized:
+            widths = 2.0 * np.arange(L) + 1.0
+            n_eff = np.arange(n, 0, -1)
+            # rev[..., i] is the threshold at n_eff = n - i, and 0 from i = n on
+            rev = np.zeros((len(lam), L, 2 * n + 1))
+            rev[..., :n] = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
+            # [lam, j, ell, c] is the threshold of start c + 1 at end j + p,
+            # n_eff = j - c, read through one view built here (_solve)
+            windows = sliding_window_view(rev, n + 1, axis=-1)[:, :, ::-1]
+            self._thr = windows.transpose(0, 2, 1, 3)
+        else:
+            self._thr = np.zeros((len(lam), 1, 1, 1))
         self._c_idx, self._g_idx = _moment_indices(config.p)
         # Every interval's moments, and a partition's loss summed over
         # multipoles, are bounded by the running total over multipoles of
@@ -286,77 +290,112 @@ class IntervalLossEngine:
     def blocks(self, m0: int) -> Iterator[tuple[int, int]]:
         """The blocks ``(e0, e1)`` that tile the segment ends m0+1..n, in order.
 
-        A block's ends e0..e1 are fitted at the spans m0..e1-1, as the
-        dynamic program asks. A block starting at e0 takes the most ends
-        B, at least one, whose B (e0 + B - 1 - m0) intervals at
+        A block holds the moments of the starts 1..e1-p at each of its ends
+        e0..e1 (``fit_blocks``). A block starting at e0 takes the most ends
+        B, at least one, whose B (e0 + B - 1 - p) intervals at
         ``_interval_rows`` rows each fit ``_BLOCK_ROWS``, and is cut at n.
-        Early ends have few spans, so early blocks hold more ends.
+        Early ends have few starts, so early blocks hold more ends.
         """
         n = self.series.n
         budget = _BLOCK_ROWS // self._interval_rows
         e0 = m0 + 1
         while e0 <= n:
-            a = e0 - 1 - m0
+            a = e0 - 1 - self.config.p
             # the largest B with B (a + B) <= budget: 2B + a <= isqrt(a^2 + 4 budget)
             ends = max(1, (math.isqrt(a * a + 4 * budget) - a) // 2)
             e1 = min(e0 + ends - 1, n)
             yield e0, e1
             e0 = e1 + 1
 
-    def fit_block(self, e0: int, e1: int, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fit every interval [e - m, e] for e0 <= e <= e1 and m0 <= m <= m1.
+    def fit_blocks(
+        self, m0: int
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Fit every interval [s, e] of e - s >= m0, one block of ends at a time.
 
-        Returns ``phi`` (Λ, B, M, L, p) and ``rss`` (Λ, B, M, L), indexed
-        by [lambda, e - e0, m - m0] for the Λ = ``len(lams)`` penalties,
-        B = e1 - e0 + 1 ends and M = m1 - m0 + 1 spans; a block of several
-        ends must fit its B M intervals' solver rows in ``_BLOCK_ROWS``, as
-        every block of ``blocks`` does. Where e - m < 1 (only for
-        e < e1) the interval starts before the series and its ``rss`` is
-        NaN. The solve's kept candidate solves G_AA x = corr_A - thr sigma,
-        so phi'G phi = corr'phi - thr ||phi||_1: the rss
+        Yields ``(e0, e1, phi, rss, loss)`` for each block of ``blocks(m0)``:
+        ``phi`` (p, Λ, B, L, K), ``rss`` (Λ, B, L, K) and ``loss``
+        (Λ, B, K), indexed [lambda, e - e0, multipole, s - 1] for the
+        Λ = ``len(lams)`` penalties, the B = e1 - e0 + 1 ends and the starts
+        1..K, K = e1 - m0 + 1: the starts of the last end and one more
+        (``_solve``). ``loss`` sums ``rss`` over the multipoles and is +inf
+        past each end's largest start e - m0; the starts past e - p are
+        fitted from zero moments.
+
+        The moments of [s, e] are the products at t = s+p..e summed forward.
+        Each end adds its product row to the moments of every start up to
+        e - p at the end before it, with one ``np.add`` into its own row of
+        the block. Its new start e - p reads -0.0 there, as the block's
+        columns e0-p..e1-p hold -0.0 until a row writes them, and -0.0 + x
+        is x bit for bit: every sum is the forward ``np.cumsum`` that ``fit``
+        takes. So each fit reads only the data in [s, e], in one fixed
+        order, and is bitwise the same whichever block, and whichever other
+        lambdas, compute it.
+        """
+        p = self.config.p
+        if m0 < p:
+            raise ValueError(f"interval [1, {m0 + 1}] too short to fit AR({p})")
+        prod = self._prod
+        # the moments of the starts 1..m0-p at end m0, then a -0.0 column
+        run = np.full(prod.shape[1:3] + (m0 - p + 1,), -0.0)
+        for e in range(p + 1, m0 + 1):
+            np.add(run[..., : e - p], prod[e - 1], out=run[..., : e - p])
+        for e0, e1 in self.blocks(m0):
+            moments = np.empty((e1 - e0 + 1,) + run.shape[:2] + (e1 - p + 1,))
+            moments[..., e0 - p :] = -0.0
+            for b, e in enumerate(range(e0, e1 + 1)):
+                np.add(run[..., : e - p], prod[e - 1], out=moments[b, ..., : e - p])
+                run = moments[b]
+            phi, rss, loss = self._solve(moments[..., : e1 - m0 + 1], e0, 1)
+            for b in range(e1 - e0 + 1):
+                loss[:, b, e0 + b - m0 :] = math.inf
+            yield e0, e1, phi, rss, loss
+
+    def _solve(
+        self, moments: np.ndarray, e0: int, s0: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fits of [s0 + c, e0 + b] from ``moments[b, :, :, c]`` (B, pairs, L, S).
+
+        Returns ``phi`` (p, Λ, B, L, S), ``rss`` (Λ, B, L, S) and the loss
+        (Λ, B, S). The solve's kept candidate solves G_AA x = corr_A -
+        thr sigma, so phi'G phi = corr'phi - thr ||phi||_1: the rss
         syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the solve's
         objective ``best`` as syy + best - 2 thr ||phi||_1, with no last
-        term when every lambda is 0. The moments of [s, e] are a suffix sum
-        of the product rows t = s+p..e, accumulated from t = e down, so each
-        fit reads only the data in [s, e] and is bitwise the same whichever
-        block, and whichever other lambdas, compute it.
+        term when every lambda is 0. With S >= 2 the starts stay numpy's
+        inner loop, so the loss adds the multipoles in order, 0 to L-1,
+        whatever B (one start alone would take numpy's pairwise sum).
         """
-        p, L = self.config.p, self.config.L
-        n = self.series.n
-        if not (1 <= e0 <= e1 <= n and 1 <= e1 - m1 and 0 <= m0 <= m1):
-            raise ValueError(f"interval [{e1 - m1}, {e1}] outside 1..{n}")
-        if m0 < p:
-            raise ValueError(f"interval [{e0 - m0}, {e0}] too short to fit AR({p})")
-        rows = (e1 - e0 + 1) * (m1 - m0 + 1) * self._interval_rows
-        if e1 > e0 and rows > _BLOCK_ROWS:
-            raise ValueError(f"block of {e1 - e0 + 1} ends holds {rows} rows, over {_BLOCK_ROWS}")
-        # window b starts at time e0 + b and runs back in time
-        windows = self._windows[:, :, n - e1 : n - e0 + 1, : m1 - p + 1][:, :, ::-1]
-        moments = np.cumsum(windows, axis=-1)[..., m0 - p :]
-        syy = moments[0]
-        corr = [moments[c] for c in self._c_idx]
-        gram = [[moments[g] for g in row] for row in self._g_idx]
-        thr = self._thr[:, :, None, m0 - p : m1 - p + 1]
-        phi, best = _lasso_solve(gram, corr, thr)
-        fitted = syy + best
+        n_ends, _, _, n_starts = moments.shape
+        p = self.config.p
+        thr = self._thr
         if self._penalized:
-            fitted -= 2.0 * thr * np.abs(phi).sum(axis=0)
-        # multipole innermost, so a loss sums rss in the order of rss.sum()
-        n_lam, _, n_ends, n_spans = best.shape
-        rss = np.empty((n_lam, n_ends, n_spans, L))
-        np.maximum(fitted, 0.0, out=rss.transpose(0, 3, 1, 2))
-        return phi.transpose(1, 3, 4, 2, 0), rss
+            thr = thr[:, e0 - p : e0 - p + n_ends, :, s0 - 1 : s0 - 1 + n_starts]
+        syy = moments[:, 0]
+        corr = [moments[:, c] for c in self._c_idx]
+        gram = [[moments[:, g] for g in row] for row in self._g_idx]
+        phi, best = _lasso_solve(gram, corr, thr)
+        rss = np.add(syy, best, out=best)
+        if self._penalized:
+            rss -= 2.0 * thr * np.abs(phi).sum(axis=0)
+        np.maximum(rss, 0.0, out=rss)
+        return phi, rss, rss.sum(axis=2)
 
     def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:
         """Fit of [s, e] at the penalty ``lams[lam_index]``."""
-        phi, rss = self.fit_block(e, e, e - s, e - s)
-        rss = rss[lam_index, 0, 0]
+        p, n = self.config.p, self.series.n
+        if not 1 <= s <= e <= n:
+            raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
+        if e - s < p:
+            raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
+        # start s as fit_blocks sums it, then a start of zero moments (_solve)
+        moments = np.full((1,) + self._prod.shape[1:3] + (2,), -0.0)
+        moments[0, ..., :1] = np.cumsum(self._prod[s + p - 1 : e], axis=0)[-1]
+        phi, rss, loss = self._solve(moments, e, s)
         return IntervalFit(
             interval=(s, e),
-            phi=phi[lam_index, 0, 0],
-            rss=rss,
-            loss=float(rss.sum()),
-            n_eff=e - s - self.config.p + 1,
+            phi=phi[:, lam_index, 0, :, 0].T,
+            rss=rss[lam_index, 0, :, 0],
+            loss=float(loss[lam_index, 0, 0]),
+            n_eff=e - s - p + 1,
         )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spharcp.errors import ParseError
+from spharcp.errors import ConfigError, ParseError
 from spharcp.simulate import ScenarioSpec
 from spharcp.types import (
     ArCoefficients,
@@ -186,11 +186,24 @@ def _segment_to_json(seg: SegmentSpec) -> dict:
     }
 
 
-def _segment_from_json(obj: dict, p: int) -> SegmentSpec:
-    return SegmentSpec(
-        coeffs=ArCoefficients(p=p, phi=obj["phi"]),
-        noise_spectrum=obj["noise_spectrum"],
-        intercept=obj.get("intercept"),
+def _segments_from_json(segments, p: int) -> tuple[SegmentSpec, ...]:
+    """The segment models of a truth document or a custom scenario config:
+    a list of objects that each carry ``phi`` and ``noise_spectrum``, else a
+    ``ConfigError`` naming ``segments``."""
+    if not isinstance(segments, list):
+        raise ConfigError(f"segments must be a list of objects, got {segments!r}")
+    for obj in segments:
+        if not (isinstance(obj, dict) and "phi" in obj and "noise_spectrum" in obj):
+            raise ConfigError(
+                f"segments entries must be objects with phi and noise_spectrum, got {obj!r}"
+            )
+    return tuple(
+        SegmentSpec(
+            coeffs=ArCoefficients(p=p, phi=obj["phi"]),
+            noise_spectrum=obj["noise_spectrum"],
+            intercept=obj.get("intercept"),
+        )
+        for obj in segments
     )
 
 
@@ -273,7 +286,7 @@ def truth_to_scenario(doc: dict) -> ScenarioSpec:
         L=doc["L"],
         p=doc["p"],
         partition=Partition(n=doc["n"], change_points=doc.get("change_points", ())),
-        segments=tuple(_segment_from_json(seg, doc["p"]) for seg in doc["segments"]),
+        segments=_segments_from_json(doc["segments"], doc["p"]),
         burn_in=doc["burn_in"],
         seed=doc["seed"],
         junction=doc.get("junction", "continue"),

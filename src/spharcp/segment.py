@@ -4,16 +4,18 @@ Solves min over partitions of sum_I loss(I) + gamma * |partition|, with
 every segment at least ``delta`` timestamps long, via the Bellman
 recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 
-The recursion walks the segment ends in the engine's blocks
-(``IntervalLossEngine.blocks``), each sized by the interval rows its
-ends' spans hold, so the early ends, with few admissible starts, share a
-block: one ``IntervalLossEngine.fit_block`` call fits every interval that
-ends in the block. One engine fits each block at every LASSO penalty
-lambda at once, and the losses do not depend on gamma, so ``detect_grid``
-runs one recursion for a whole (lambda, gamma) grid, with one Bellman row
-per (lambda, gamma); ``detect`` is that recursion at the single lambda
-and gamma of its config. The Bellman step, its tie rule, the admissible
-starts and why no cost is NaN are stated once, in ``detect_grid``.
+The recursion walks the segment ends forward, a block of ends at a time
+(``IntervalLossEngine.fit_blocks``): the engine keeps the running moments
+of every start, fits every interval that ends in the block, and hands
+the losses over laid out by start, as the Bellman step reads them. A
+block is sized by the interval rows its ends' starts hold, so the early
+ends, with few starts, share a block. One engine fits each block at
+every LASSO penalty lambda at once, and the losses do not depend on
+gamma, so ``detect_grid`` runs one recursion for a whole (lambda, gamma)
+grid, with one Bellman row per (lambda, gamma); ``detect`` is that
+recursion at the single lambda and gamma of its config. The Bellman
+step, its tie rule, the admissible starts and why no cost is NaN are
+stated once, in ``detect_grid``.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def detect_grid(
     ``gammas`` gives ``()``.
 
     The Bellman step reads, for end e, every start s = 1..k, k = e - m0
-    with m0 = min(delta, n) - 1, from the largest start down:
+    with m0 = min(delta, n) - 1, in order:
     ``best[s - 1] + loss([s, e]) + gamma``. The admissible starts are 1 and
     delta+1..k. The others, 2..delta, read the prefixes 1..delta-1, which
     no end below delta writes, so they stay +inf; the losses are finite
@@ -122,18 +124,19 @@ def detect_grid(
     The least cost wins, and an exact tie goes to fewer segments, then to
     the larger start of the last segment. A unique least cost is taken by
     ``argmin``; only a tie pays for the stable ``lexsort`` over (cost,
-    segments) of ``_tie_break``. Both take the first of equal candidates,
-    the largest start.
+    segments) of ``_tie_break``, which reads the candidates from the
+    largest start down and takes the first of equal ones.
 
     The rows, however many, step together over a window of up to m0 + 1
     consecutive ends of a block, whose ends read only prefixes below the
     window's first end (end e reads up to e - m0 - 1). The window's
     costs are the same sums over the starts of its last end, +inf past
-    each end's own largest start. A cost is never NaN (the losses are
-    finite, ``best`` is finite or +inf, gamma is finite), so each (row,
-    end) holds at least one cost equal to its least: the window has a tie
-    exactly when the count of such costs exceeds the count of (row, end)
-    pairs, and only the pairs holding more than one take the ``lexsort``.
+    each end's own largest start. A cost is never NaN (a loss is finite,
+    or +inf past its end's largest start, ``best`` is finite or +inf,
+    gamma is finite), so each (row, end) holds at least one cost equal to
+    its least: the window has a tie exactly when the count of such costs
+    exceeds the count of (row, end) pairs, and only the pairs holding more
+    than one take the ``lexsort``.
     """
     configs = tuple(
         replace(config, lam=lam, gamma=gamma)
@@ -156,9 +159,7 @@ def detect_grid(
     gamma_column = np.asarray(gammas, dtype=float)[:, None, None]
     # the flat index of prefix s - 1 of row r is row_offsets[r] + s
     row_offsets = np.arange(-1, nseg.size - 1, n + 1)[:, None]
-    for e0, e1 in engine.blocks(m0):
-        _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
-        losses = rss.sum(axis=-1)
+    for e0, _, _, _, losses in engine.fit_blocks(m0):
         _window_steps(best, nseg, back, losses, gamma_column, row_offsets, e0, m0)
 
     warning = None
@@ -176,8 +177,9 @@ def detect_grid(
 
 
 def _tie_break(cost: np.ndarray, nseg: np.ndarray) -> int:
-    """Index of the winner among candidates of equal least ``cost``: fewer
-    segments ``nseg`` first, then the first listed, the larger start."""
+    """Index of the winner among candidates of equal least ``cost``, listed
+    from the largest start down: fewer segments ``nseg`` first, then the
+    first listed, the larger start."""
     return int(np.lexsort((nseg, cost))[0])
 
 
@@ -192,26 +194,18 @@ def _window_steps(
     m0: int,
 ) -> None:
     """Every Bellman row (lambda-major, then gamma) over a block's ends, one
-    window of up to m0 + 1 ends at a time, ``losses[lam, b, m - m0]`` being
-    the loss of [e - m, e] for end e = e0 + b; ``gamma_column`` holds the
-    gammas as a (gammas, 1, 1) column."""
-    n_lam, n_ends, n_spans = losses.shape
-    # start-aligned losses: starts[lam, b, i] is the loss of start n_spans - i
-    # at end e0 + b, +inf past that end's largest start e0 + b - m0. Row b
-    # of the (n_ends, width) array ``padded`` holds n_ends - 1 infs and then
-    # end b's losses; read with rows one longer, row b comes b places later.
-    width = n_ends - 1 + n_spans
-    flat = np.full((n_lam, n_ends * (width + 1)), math.inf)
-    padded = flat[:, : n_ends * width].reshape(n_lam, n_ends, width)
-    padded[..., n_ends - 1 :] = losses
-    starts = flat.reshape(n_lam, 1, n_ends, width + 1)
+    window of up to m0 + 1 ends at a time, ``losses[lam, b, s - 1]`` being
+    the loss of [s, e] for end e = e0 + b, +inf past that end's largest
+    start e - m0; ``gamma_column`` holds the gammas as a (gammas, 1, 1)
+    column."""
+    n_lam, n_ends, _ = losses.shape
     rows = best.reshape(n_lam, len(gamma_column), 1, -1)
     for b0 in range(0, n_ends, m0 + 1):
         b1 = min(b0 + m0 + 1, n_ends)
-        # the starts k, k-1, .., 1 of the window's last end; every one reads a
-        # prefix below the window's first end, so no end waits on another
+        # the starts 1..k of the window's last end; every one reads a prefix
+        # below the window's first end, so no end waits on another
         k = e0 + b1 - 1 - m0
-        cost = rows[..., k - 1 :: -1] + starts[..., b0:b1, n_spans - k : n_spans]
+        cost = rows[..., :k] + losses[:, None, b0:b1, :k]
         cost += gamma_column
         cost = cost.reshape(len(best), b1 - b0, k)
         low = cost.min(axis=-1)
@@ -220,8 +214,8 @@ def _window_steps(
         # a unique least cost wins outright; only ties take _tie_break
         if np.count_nonzero(least) != low.size:
             for r, w in zip(*np.nonzero(np.count_nonzero(least, axis=-1) > 1)):
-                i[r, w] = _tie_break(cost[r, w], nseg[r, k - 1 :: -1])
-        start = k - i
+                i[r, w] = k - 1 - _tie_break(cost[r, w, ::-1], nseg[r, k - 1 :: -1])
+        start = i + 1
         ends = slice(e0 + b0, e0 + b1)
         best[:, ends] = low
         nseg[:, ends] = nseg.take(row_offsets + start) + 1

@@ -311,11 +311,12 @@ class DetectorConfig:
             raise ConfigError("gamma must be finite and >= 0")
         if self.delta < self.p + 1:
             raise ConfigError(f"delta must be >= p + 1 = {self.p + 1}")
-        entries = np.ravel(self.lam).tolist() if isinstance(self.lam, np.ndarray) else self.lam
-        for v in entries if isinstance(entries, (tuple, list)) else (entries,):
-            if not _is_real(v):
-                raise ConfigError(f"lam entries must be numbers, got {v!r}")
-        lam = np.asarray(self.lam, dtype=float)
+        if isinstance(self.lam, (list, tuple, np.ndarray)):
+            lam = check_real_array("lam", self.lam)
+        elif _is_real(self.lam):
+            lam = np.asarray(float(self.lam))
+        else:
+            raise ConfigError(f"lam entries must be numbers, got {self.lam!r}")
         if lam.ndim == 0:
             lam = np.full(self.L, float(lam))
         if lam.shape != (self.L,):

@@ -162,6 +162,34 @@ def test_simulate_real_entry_that_is_not_a_number_exits_2_and_writes_nothing(
 
 
 @pytest.mark.parametrize(
+    "segments, shown",
+    [
+        ({"phi": [[0.5]]}, "segments must be a list of objects, got {'phi': [[0.5]]}"),
+        ([1, 2], "segments entries must be objects with phi and noise_spectrum, got 1"),
+        (["a"], "segments entries must be objects with phi and noise_spectrum, got 'a'"),
+        (
+            [{"noise_spectrum": [1.0, 0.5]}],
+            "segments entries must be objects with phi and noise_spectrum, "
+            "got {'noise_spectrum': [1.0, 0.5]}",
+        ),
+    ],
+    ids=["object", "integers", "strings", "no-phi"],
+)
+def test_simulate_malformed_segments_exit_2_and_write_nothing(
+    tmp_path, tiny_config, capsys, segments, shown
+):
+    # an object or a list of integers used to exit with a bare Python message
+    # ("string indices must be integers", "'int' object is not subscriptable")
+    cfg = json.loads(tiny_config.read_text())
+    cfg["segments"] = segments
+    tiny_config.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not out.exists() and not (tmp_path / "x.truth.json").exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--delta", "1"], ["--lambda", "-1"], ["--L", "99"], ["--p", "6"],
      ["--gamma", "nan"], ["--gamma", "inf"]],

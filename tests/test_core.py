@@ -218,7 +218,6 @@ class TestDetectorConfig:
             ("lam", "0.5", "0.5"),
             ("lam", None, None),
             ("lam", [0.5, "0.5"], "0.5"),
-            ("lam", np.array([True, False]), True),
         ],
     )
     def test_rejects_a_penalty_that_is_not_a_number(self, field, value, bad):
@@ -228,6 +227,18 @@ class TestDetectorConfig:
         want = "gamma must be a number" if field == "gamma" else "lam entries must be numbers"
         with pytest.raises(ConfigError, match=f"^{want}, got {re.escape(repr(bad))}$"):
             DetectorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([True, False]), np.array([0.5, 0.25], dtype=object)],
+        ids=["bool", "object"],
+    )
+    def test_rejects_a_lam_array_that_is_not_real(self, value):
+        # the rule of every real array field: an array passes by its dtype
+        want = f"^lam must hold numbers, got an array of {value.dtype}$"
+        with pytest.raises(ConfigError, match=want):
+            DetectorConfig(p=1, L=2, lam=value)
+        assert DetectorConfig(p=1, L=2, lam=value.astype(float)).lam == tuple(value.tolist())
 
     def test_accepts_numpy_penalties(self):
         cfg = DetectorConfig(p=1, L=2, lam=np.float32(0.5), gamma=np.int64(3))

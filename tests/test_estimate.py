@@ -1,6 +1,8 @@
 """LASSO interval fits, interval losses, and post-detection segment fits."""
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -295,9 +297,11 @@ class TestIntervalLoss:
         assert active > 0
 
     def test_loss_is_sum_of_rss(self):
-        series = random_series(n=50, L=3, seed=8)
-        fit = IntervalLossEngine(series, self.config(L=3, lam=0.7)).fit(3, 47)
-        assert fit.loss == float(fit.rss.sum())
+        # the multipoles in order, as the dynamic program adds them; numpy's
+        # pairwise sum of ten values may differ in the last bit
+        series = random_series(n=50, L=10, seed=8)
+        fit = IntervalLossEngine(series, self.config(L=10, lam=0.7)).fit(3, 47)
+        assert fit.loss == functools.reduce(operator.add, fit.rss.tolist())
 
     def test_penalized_loss_at_least_ols_loss(self, rng):
         series = random_series(n=60, L=2, seed=12)
@@ -353,9 +357,10 @@ class TestIntervalLoss:
         )
 
     def test_blocks_tile_the_ends_within_the_row_budget(self):
-        # A block counts its intervals, ends times spans, at L rows each per
-        # sign vector a full support holds: 2^p at any lambda > 0, p = 1's
-        # two when every lambda is 0 and a support keeps one sign vector.
+        # A block counts its ends times the starts 1..e1-p whose moments it
+        # holds, at L rows each per sign vector a full support holds: 2^p at
+        # any lambda > 0, p = 1's two when every lambda is 0 and a support
+        # keeps one sign vector.
         n, L, m0 = 400, 3, 4
         series = random_series(n=n, L=L, seed=9)
         for p in (1, 2, 3, 4):
@@ -363,7 +368,7 @@ class TestIntervalLoss:
             cases += [(lams, 1 << p) for lams in ((0.5,), (0.0, 1.0), ((0.0, 0.0, 0.3),))]
             for lams, sign_rows in cases:
                 def rows(e0, e1):
-                    return (e1 - e0 + 1) * (e1 - m0) * L * sign_rows
+                    return (e1 - e0 + 1) * (e1 - p) * L * sign_rows
 
                 blocks = list(IntervalLossEngine(series, self.config(L=L, p=p), lams).blocks(m0))
                 assert [e for e0, e1 in blocks for e in range(e0, e1 + 1)] == list(
@@ -379,21 +384,33 @@ class TestIntervalLoss:
                 over = [e0 for e0, e1 in blocks if rows(e0, e0) > _BLOCK_ROWS]
                 assert bool(over) == (sign_rows == 16)
 
-    def test_fit_block_rejects_a_block_over_the_row_budget(self):
+    def test_fit_blocks_fit_every_start_of_every_block(self):
         n, m0 = 400, 5
         series = random_series(n=n, L=3, seed=9)
-        engine = IntervalLossEngine(series, self.config(L=3, p=4), (0.5,))
-        e0, e1 = next(engine.blocks(m0))
-        _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
-        assert rss.shape == (1, e1 - e0 + 1, e1 - m0, 3)
-        # one end more, or one span more, is over
-        with pytest.raises(ValueError, match="rows, over"):
-            engine.fit_block(e0, e1 + 1, m0, e1)
-        with pytest.raises(ValueError, match="rows, over"):
-            engine.fit_block(e0, e1, m0 - 1, e1 - 1)
-        # a single end takes every span, over the budget or not
-        _, rss = engine.fit_block(n, n, m0, n - 1)
-        assert np.isfinite(rss).all()
+        engine = IntervalLossEngine(series, self.config(L=3, p=4), (0.5, 0.0))
+        got = list(engine.fit_blocks(m0))
+        assert [(e0, e1) for e0, e1, *_ in got] == list(engine.blocks(m0))
+        for e0, e1, phi, rss, loss in got:
+            # starts 1..e1-m0 of every end, and one more
+            shape = (2, e1 - e0 + 1, 3, e1 - m0 + 1)
+            assert phi.shape == (4,) + shape and rss.shape == shape
+            for b, e in enumerate(range(e0, e1 + 1)):
+                assert np.isfinite(loss[:, b, : e - m0]).all()
+                assert (loss[:, b, e - m0 :] == np.inf).all()
+        # the late blocks of one end hold more rows than the budget
+        e0, e1, _, rss, _ = got[-1]
+        assert e0 == e1 == n and rss[0].size * 16 > _BLOCK_ROWS
+        with pytest.raises(ValueError, match="too short to fit AR"):
+            next(engine.fit_blocks(3))
+
+    def test_fit_rejects_intervals_outside_the_series_or_too_short(self):
+        engine = IntervalLossEngine(random_series(n=30, L=2, seed=9), self.config(L=2, p=2))
+        for s, e in ((0, 10), (5, 31), (12, 10)):
+            with pytest.raises(ValueError, match="outside 1..30"):
+                engine.fit(s, e)
+        with pytest.raises(ValueError, match="too short to fit AR"):
+            engine.fit(9, 10)
+        assert engine.fit(8, 10).n_eff == 1
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_overflowing_products_fail_loudly(self, p):

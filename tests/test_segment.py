@@ -251,6 +251,17 @@ def test_detect_grid_of_an_empty_axis_is_empty():
     assert detect_grid(series, config, (0.0, 1.0), ()) == ()
 
 
+def fits_by_end(engine, m0):
+    """``phi`` (Λ, p, L, k), ``rss`` (Λ, L, k) and ``loss`` (Λ, k) of the starts
+    1..k, k = e - m0, of every end e, keyed by end."""
+    fits = {}
+    for e0, e1, phi, rss, loss in engine.fit_blocks(m0):
+        for b, e in enumerate(range(e0, e1 + 1)):
+            k = e - m0
+            fits[e] = (phi[:, :, b, :, :k].swapaxes(0, 1), rss[:, b, :, :k], loss[:, b, :k])
+    return fits
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
     series = random_series(n=80, L=3, seed=66 + p)
@@ -258,18 +269,16 @@ def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
     lams = (0.0, 0.7, (1.0, 0.0, 0.3))
     engine = IntervalLossEngine(series, config, lams)
     alone = [IntervalLossEngine(series, replace(config, lam=lam)) for lam in lams]
-    # the engine's own blocks, which its lambda > 0 sizes by 2^p sign rows
-    # and so also fit the lambda = 0 engine's budget of 2
-    blocks = list(engine.blocks(p))
-    assert len(blocks) > 1
-    for e0, e1 in blocks:
-        phi, rss = engine.fit_block(e0, e1, p, e1 - 1)
-        assert phi.shape[0] == rss.shape[0] == len(lams)
-        for i, one in enumerate(alone):
-            phi_1, rss_1 = one.fit_block(e0, e1, p, e1 - 1)
-            assert np.array_equal(phi[i], phi_1[0], equal_nan=True)
-            assert np.array_equal(rss[i], rss_1[0], equal_nan=True)
+    # the lambda = 0 engine counts 2 sign rows, the others 2^p, so at p >= 2
+    # their blocks differ; the fits of every interval do not
+    blocks = [len(list(one.blocks(p))) for one in (engine, alone[0])]
+    assert blocks[0] > 1 and (blocks[0] > blocks[1]) == (p > 1)
+    fits = fits_by_end(engine, p)
+    assert sorted(fits) == list(range(p + 1, 81))
     for i, one in enumerate(alone):
+        for e, fit_1 in fits_by_end(one, p).items():
+            for got, want in zip(fits[e], fit_1, strict=True):
+                assert same_bits(got[i], want[0])
         fit, fit_1 = engine.fit(4, 25, i), one.fit(4, 25)
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
@@ -303,7 +312,7 @@ def fresh_bellman(series, config, losses=None):
 )
 @pytest.mark.parametrize(
     "n, data",
-    [(59, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
+    [(58, "random"), (9, "random"), (60, "zeros"), (60, "spikes")],
     ids=["partial-last-block", "shorter-than-2-delta", "all-zero-ties", "equal-cost-ties"],
 )
 def test_block_dp_matches_fresh_single_interval_fits(p, L, shortest, n, data):
@@ -327,7 +336,7 @@ def test_block_dp_matches_fresh_single_interval_fits(p, L, shortest, n, data):
         blocks = list(ref.blocks(m0))
         e0, e1 = blocks[-1]
         assert len(blocks) > 1 and e1 == n
-        assert (e1 - e0 + 2) * (e1 + 1 - m0) * (L << p) <= estimate._BLOCK_ROWS
+        assert (e1 - e0 + 2) * (e1 + 1 - p) * (L << p) <= estimate._BLOCK_ROWS
     losses = {}
     for result in results:
         row = result.config
@@ -426,6 +435,35 @@ def test_detect_grid_fits_each_final_segment_once(monkeypatch):
         assert_same_result(got, want)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "lams, gammas",
+    [((0.0,), (40.0,)), ((0.5,), (40.0,)), ((0.0, 0.5), (40.0, 5.0))],
+    ids=["lambda-0", "lambda-0.5", "grid-2x2"],
+)
+def test_dp_does_not_depend_on_the_block_layout(p, lams, gammas, monkeypatch):
+    # Each end in a block of its own, and every end in one block, give the
+    # default budget's results bit for bit: an interval's moments, fit and
+    # loss are computed in one order whichever block holds it, which is what
+    # lets fit(s, e) reproduce the DP's losses. L = 10 makes numpy's
+    # pairwise sum over multipoles differ from the DP's in-order sum, were
+    # a block of one end and one start to take it.
+    n, m0 = 60, 4
+    series = random_series(n=n, L=10, seed=120 + p)
+    config = DetectorConfig(p=p, L=10, delta=m0 + 1)
+    sizes = [e1 - e0 + 1 for e0, e1 in IntervalLossEngine(series, config, lams).blocks(m0)]
+    assert 1 < len(sizes) < n - m0 and max(sizes) > 1
+    want = detect_grid(series, config, lams, gammas)
+    assert all(result.change_points for result in want)
+    for budget, n_blocks in ((1, n - m0), (10**9, 1)):
+        monkeypatch.setattr(estimate, "_BLOCK_ROWS", budget)
+        assert len(list(IntervalLossEngine(series, config, lams).blocks(m0))) == n_blocks
+        got = detect_grid(series, config, lams, gammas)
+        for a, b in zip(got, want, strict=True):
+            assert_same_result(a, b)
+            assert [fit.loss for fit in a.fits] == [fit.loss for fit in b.fits]
+
+
 def test_detect_peak_memory_grows_at_most_linearly_in_n():
     # A block of segment ends holds a bounded number of interval rows, so
     # doubling n at most doubles the peak (the products); holding the whole
@@ -449,14 +487,15 @@ class TestDpTable:
         config = DetectorConfig(p=1, L=2, lam=0.4, gamma=1.0, delta=4)
         engine = IntervalLossEngine(series, config)
         m0 = config.delta - 1
-        for e0, e1 in engine.blocks(m0):
-            _, rss = engine.fit_block(e0, e1, m0, e1 - 1)
-            for e, losses in zip(range(e0, e1 + 1), rss[0].sum(axis=-1)):
-                for m in range(m0, e):
-                    fresh = IntervalLossEngine(series, config).fit(e - m, e)
-                    assert losses[m - m0] == fresh.loss
-                # spans reaching before t = 1 come back as NaN
-                assert np.isnan(losses[e - m0 :]).all()
+        for e, (_, rss, losses) in fits_by_end(engine, m0).items():
+            for s in range(1, e - m0 + 1):
+                fresh = IntervalLossEngine(series, config).fit(s, e)
+                assert losses[0, s - 1] == fresh.loss
+                assert np.array_equal(rss[0, :, s - 1], fresh.rss)
+        # the starts past each end's largest come back as +inf
+        for e0, e1, _, _, losses in engine.fit_blocks(m0):
+            for b, e in enumerate(range(e0, e1 + 1)):
+                assert (losses[0, b, e - m0 :] == math.inf).all()
 
     def test_short_prefixes_stay_infeasible_in_every_row(self):
         # the Bellman step reads the starts 2..delta off these prefixes and
