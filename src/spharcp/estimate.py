@@ -14,8 +14,10 @@ consecutive ends, as many as their solver rows allow (``blocks``), are
 fitted by one exact LASSO solve at every penalty lambda of the engine, so
 a tuning sweep pays for the moments once whatever the number of lambdas,
 and the losses come out laid out by start, as the Bellman step reads
-them. The solve returns each fit's objective, and the residual sum is
-read off it in closed form: syy + objective - 2 thr ||phi||_1.
+them. The dynamic program's solve keeps each fit's objective and, at a
+penalty lambda > 0, its ||phi||_1, and the residual sum is read off them
+in closed form: syy + objective - 2 thr ||phi||_1. Only the final fits
+(``IntervalLossEngine.fit``) write coefficients.
 """
 
 from __future__ import annotations
@@ -70,15 +72,20 @@ def _moment_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return c_idx, g_idx
 
 
-def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lasso_solve(
+    gram, corr, thr, *, penalized: bool, phi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact minimizer of phi'G phi - 2 corr'phi + 2 thr ||phi||_1, per row.
 
     Solves independent problems laid out coordinate-major: ``gram[j][k]``
     and ``corr[j]`` are arrays of one row shape (a (p, p, ...) and a
     (p, ...) array, or lists of such arrays), ``thr`` broadcasts with that
     shape (a leading lambda axis solves every penalty at once, sharing the
-    LDL' factors). Returns phi, (p,) + the broadcast shape, and ``best``,
-    its objective (0 where phi = 0), of the broadcast shape. Some minimizer
+    LDL' factors). Returns ``best``, the minimum objective (0 where phi =
+    0), of the broadcast shape, and ``norm``, the minimizer's ||phi||_1
+    when ``penalized`` (None otherwise). The coefficients are written only
+    when asked for, into ``phi``, a zeroed array of shape (p,) + the
+    broadcast shape, and ``norm`` is then read off them. Some minimizer
     has a nonsingular active Gram block (Tibshirani 2013, "The lasso
     problem and uniqueness"), so the minimum is among the candidates that
     solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
@@ -90,52 +97,59 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only if corr_a > thr for sigma = +1 or corr_a < -thr for sigma = -1,
     and with thr >= 0 at most one holds, for sigma = sign(corr_a).
 
-    When every entry of ``thr`` is 0 (the paper's default lambda = 0), the
-    right-hand side is corr_A for every sigma, so every support solves one
-    system and only sigma = sign(x) can pass: the candidate is kept when
-    every pivot is > 0 and every |x_j| > 0 (NaN fails, as sigma * NaN > 0
-    does). A one-coordinate support is then x = corr_a / G_aa, kept where
-    G_aa > 0 and |x| > 0, with no sign or threshold arithmetic. The
-    candidates, their objectives and their order are those of the full
-    enumeration, so the rows keep their bits. A call with any non-zero
-    threshold enumerates every sign vector for all its rows, also those at
-    a lambda = 0 slice of a mixed grid.
+    Without ``phi`` the solve keeps ``norm`` as the winner changes: a kept
+    candidate has sigma_j x_j = |x_j| > 0, and the winner's are added in
+    coordinate order, bitwise ``np.abs(phi).sum(axis=0)``, in which the
+    coordinates off its support add +0.0.
+
+    ``penalized=False`` states that every entry of ``thr`` is 0 (the
+    paper's default lambda = 0). The right-hand side is then corr_A for
+    every sigma, so every support solves one system and only sigma =
+    sign(x) can pass: the candidate is kept when every pivot is > 0 and
+    every |x_j| > 0 (NaN fails, as sigma * NaN > 0 does). A one-coordinate
+    support is then x = corr_a / G_aa, kept where G_aa > 0 and |x| > 0,
+    with no sign or threshold arithmetic. The candidates, their objectives
+    and their order are those of the full enumeration, so the rows keep
+    their bits. A ``penalized`` call enumerates every sign vector for all
+    its rows, also those at a lambda = 0 slice of a mixed grid.
 
     Every step is elementwise in a fixed order, so each row is bitwise the
     row solved alone; at p = 1 this is soft(corr, thr) / G.
     """
     p = len(corr)
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
-    phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
-    # at thr = 0 one right-hand side serves every sign vector (see above)
-    one_sign = not np.any(thr)
+    norm = np.zeros(shape) if penalized and phi is None else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # k = 1: only sigma = sign(corr) can pass (see above)
         for a in range(p):
             g, c = gram[a][a], corr[a]
-            if one_sign:
+            if penalized:
+                sigma = np.copysign(1.0, c)
+                tmp = b = c - thr * sigma
+                x = b / g
+                size = sigma * x  # |x| where kept
+                ok = (g > 0.0) & (size > 0.0)
+            else:
                 b = c
                 x = b / g
                 tmp = np.abs(x)
                 ok = (g > 0.0) & (tmp > 0.0)
-            else:
-                sigma = np.copysign(1.0, c)
-                tmp = b = c - thr * sigma
-                x = b / g
-                ok = (g > 0.0) & (sigma * x > 0.0)
-            # obj = 0.0 - x b, accumulated in tmp (b's own buffer when thr != 0)
+            # obj = 0.0 - x b, accumulated in tmp (b's own buffer when penalized)
             obj = np.subtract(0.0, np.multiply(x, b, out=tmp), out=tmp)
             np.copyto(obj, np.inf, where=~ok)
             better = obj < best
             np.copyto(best, obj, where=better)
-            np.copyto(phi, 0.0, where=better)
-            np.copyto(phi[a], x, where=better)
+            if norm is not None:
+                np.copyto(norm, size, where=better)
+            if phi is not None:
+                np.copyto(phi, 0.0, where=better)
+                np.copyto(phi[a], x, where=better)
         for k in range(2, p + 1):
-            if one_sign:
-                signs = np.ones((1, k))
-            else:
+            if penalized:
                 signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+            else:
+                signs = np.ones((1, k))
             signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):
                 d, low = [], {}
@@ -163,11 +177,16 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     for i in range(j + 1, k):
                         np.subtract(x[j], np.multiply(low[i, j], x[i], out=tmp), out=x[j])
                 ok = np.logical_and.reduce([dj > 0.0 for dj in d])
-                for j in range(k):
-                    if one_sign:
-                        ok = ok & (np.abs(x[j], out=tmp) > 0.0)
-                    else:
+                if penalized:
+                    # sigma_j x_j, summed in coordinate order: ||x||_1 where kept
+                    size = np.multiply(signs[:, 0], x[0])
+                    ok = ok & (size > 0.0)
+                    for j in range(1, k):
                         ok = ok & (np.multiply(signs[:, j], x[j], out=tmp) > 0.0)
+                        size += tmp
+                else:
+                    for j in range(k):
+                        ok = ok & (np.abs(x[j], out=tmp) > 0.0)
                 # obj = 0.0 - x_0 b_0 - x_1 b_1 - ..., accumulated in b's buffers
                 obj = np.subtract(0.0, np.multiply(x[0], b[0], out=b[0]), out=b[0])
                 for j in range(1, k):
@@ -176,10 +195,15 @@ def _lasso_solve(gram, corr, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 for i in range(len(signs)):
                     better = obj[i] < best
                     np.copyto(best, obj[i], where=better)
-                    np.copyto(phi, 0.0, where=better)
-                    for j, a in enumerate(A):
-                        np.copyto(phi[a], x[j][i], where=better)
-    return phi, best
+                    if norm is not None:
+                        np.copyto(norm, size[i], where=better)
+                    if phi is not None:
+                        np.copyto(phi, 0.0, where=better)
+                        for j, a in enumerate(A):
+                            np.copyto(phi[a], x[j][i], where=better)
+    if penalized and phi is not None:
+        norm = np.abs(phi).sum(axis=0)
+    return best, norm
 
 
 @dataclass(frozen=True)
@@ -223,9 +247,10 @@ class IntervalLossEngine:
     the products and moments serve them all. ``fit_blocks`` walks the
     segment ends forward, keeping the running moments of every start, and
     fits every interval of a block of ends (``blocks``) at every lambda
-    with one exact LASSO solve; ``fit(s, e, lam_index)`` fits one interval
-    from the same forward sum. Instances are immutable after construction
-    and safe to share across threads.
+    with one exact LASSO solve, which keeps the losses and no
+    coefficients; ``fit(s, e, lam_index)`` fits one interval, coefficients
+    included, from the same forward sum. Instances are immutable after
+    construction and safe to share across threads.
 
     Construction raises ``DegenerateFitError``, naming the first multipole
     at fault, when a product, or 4 times the sum over t and the multipoles
@@ -251,7 +276,8 @@ class IntervalLossEngine:
         # each lambda is validated as the config's lam would be
         lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
         n, L, p = series.n, config.L, config.p
-        # at lambda = 0 everywhere the rss needs no ||phi||_1 term (_solve)
+        # at lambda = 0 everywhere the solve keeps one sign vector per
+        # support and the rss needs no ||phi||_1 term (_lasso_solve, _solve)
         self._penalized = bool(lam.any())
         # solver rows of one interval at one lambda (_BLOCK_ROWS)
         self._interval_rows = L << (p if self._penalized else 1)
@@ -309,17 +335,18 @@ class IntervalLossEngine:
 
     def fit_blocks(
         self, m0: int
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Fit every interval [s, e] of e - s >= m0, one block of ends at a time.
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Losses of every interval [s, e] of e - s >= m0, a block of ends at a time.
 
-        Yields ``(e0, e1, phi, rss, loss)`` for each block of ``blocks(m0)``:
-        ``phi`` (p, Λ, B, L, K), ``rss`` (Λ, B, L, K) and ``loss``
-        (Λ, B, K), indexed [lambda, e - e0, multipole, s - 1] for the
-        Λ = ``len(lams)`` penalties, the B = e1 - e0 + 1 ends and the starts
-        1..K, K = e1 - m0 + 1: the starts of the last end and one more
+        Yields ``(e0, e1, rss, loss)`` for each block of ``blocks(m0)``:
+        ``rss`` (Λ, B, L, K) and ``loss`` (Λ, B, K), indexed
+        [lambda, e - e0, multipole, s - 1] for the Λ = ``len(lams)``
+        penalties, the B = e1 - e0 + 1 ends and the starts 1..K,
+        K = e1 - m0 + 1: the starts of the last end and one more
         (``_solve``). ``loss`` sums ``rss`` over the multipoles and is +inf
         past each end's largest start e - m0; the starts past e - p are
-        fitted from zero moments.
+        fitted from zero moments. The solve keeps each fit's objective and
+        ||phi||_1, not its coefficients; ``fit`` gives those.
 
         The moments of [s, e] are the products at t = s+p..e summed forward.
         Each end adds its product row to the moments of every start up to
@@ -345,24 +372,26 @@ class IntervalLossEngine:
             for b, e in enumerate(range(e0, e1 + 1)):
                 np.add(run[..., : e - p], prod[e - 1], out=moments[b, ..., : e - p])
                 run = moments[b]
-            phi, rss, loss = self._solve(moments[..., : e1 - m0 + 1], e0, 1)
+            rss, loss = self._solve(moments[..., : e1 - m0 + 1], e0, 1)
             for b in range(e1 - e0 + 1):
                 loss[:, b, e0 + b - m0 :] = math.inf
-            yield e0, e1, phi, rss, loss
+            yield e0, e1, rss, loss
 
     def _solve(
-        self, moments: np.ndarray, e0: int, s0: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, moments: np.ndarray, e0: int, s0: int, phi: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Fits of [s0 + c, e0 + b] from ``moments[b, :, :, c]`` (B, pairs, L, S).
 
-        Returns ``phi`` (p, Λ, B, L, S), ``rss`` (Λ, B, L, S) and the loss
-        (Λ, B, S). The solve's kept candidate solves G_AA x = corr_A -
-        thr sigma, so phi'G phi = corr'phi - thr ||phi||_1: the rss
-        syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the solve's
-        objective ``best`` as syy + best - 2 thr ||phi||_1, with no last
-        term when every lambda is 0. With S >= 2 the starts stay numpy's
-        inner loop, so the loss adds the multipoles in order, 0 to L-1,
-        whatever B (one start alone would take numpy's pairwise sum).
+        Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and writes the
+        coefficients into ``phi``, a zeroed (p, Λ, B, L, S) array, when one
+        is given (``_lasso_solve``). The solve's kept candidate solves
+        G_AA x = corr_A - thr sigma, so phi'G phi = corr'phi - thr ||phi||_1:
+        the rss syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the
+        solve's objective ``best`` and ``norm`` = ||phi||_1 as
+        syy + best - 2 thr norm, with no last term when every lambda is 0.
+        With S >= 2 the starts stay numpy's inner loop, so the loss adds the
+        multipoles in order, 0 to L-1, whatever B (one start alone would
+        take numpy's pairwise sum).
         """
         n_ends, _, _, n_starts = moments.shape
         p = self.config.p
@@ -372,12 +401,12 @@ class IntervalLossEngine:
         syy = moments[:, 0]
         corr = [moments[:, c] for c in self._c_idx]
         gram = [[moments[:, g] for g in row] for row in self._g_idx]
-        phi, best = _lasso_solve(gram, corr, thr)
+        best, norm = _lasso_solve(gram, corr, thr, penalized=self._penalized, phi=phi)
         rss = np.add(syy, best, out=best)
         if self._penalized:
-            rss -= 2.0 * thr * np.abs(phi).sum(axis=0)
+            rss -= 2.0 * thr * norm
         np.maximum(rss, 0.0, out=rss)
-        return phi, rss, rss.sum(axis=2)
+        return rss, rss.sum(axis=2)
 
     def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:
         """Fit of [s, e] at the penalty ``lams[lam_index]``."""
@@ -389,7 +418,8 @@ class IntervalLossEngine:
         # start s as fit_blocks sums it, then a start of zero moments (_solve)
         moments = np.full((1,) + self._prod.shape[1:3] + (2,), -0.0)
         moments[0, ..., :1] = np.cumsum(self._prod[s + p - 1 : e], axis=0)[-1]
-        phi, rss, loss = self._solve(moments, e, s)
+        phi = np.zeros((p, len(self.lams), 1, self.config.L, 2))
+        rss, loss = self._solve(moments, e, s, phi)
         return IntervalFit(
             interval=(s, e),
             phi=phi[:, lam_index, 0, :, 0].T,

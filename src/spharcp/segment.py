@@ -7,15 +7,17 @@ recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 The recursion walks the segment ends forward, a block of ends at a time
 (``IntervalLossEngine.fit_blocks``): the engine keeps the running moments
 of every start, fits every interval that ends in the block, and hands
-the losses over laid out by start, as the Bellman step reads them. A
-block is sized by the interval rows its ends' starts hold, so the early
-ends, with few starts, share a block. One engine fits each block at
-every LASSO penalty lambda at once, and the losses do not depend on
-gamma, so ``detect_grid`` runs one recursion for a whole (lambda, gamma)
-grid, with one Bellman row per (lambda, gamma); ``detect`` is that
-recursion at the single lambda and gamma of its config. The Bellman
-step, its tie rule, the admissible starts and why no cost is NaN are
-stated once, in ``detect_grid``.
+the losses over laid out by start, as the Bellman step reads them. The
+recursion's fits keep each objective and ||phi||_1, no coefficients;
+only the final fits of the detected segments (``_traceback``) write
+them. A block is sized by the interval rows its ends' starts hold, so
+the early ends, with few starts, share a block. One engine fits each
+block at every LASSO penalty lambda at once, and the losses do not
+depend on gamma, so ``detect_grid`` runs one recursion for a whole
+(lambda, gamma) grid, with one Bellman row per (lambda, gamma);
+``detect`` is that recursion at the single lambda and gamma of its
+config. The Bellman step, its tie rule, the admissible starts and why no
+cost is NaN are stated once, in ``detect_grid``.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def detect_grid(
     gamma_column = np.asarray(gammas, dtype=float)[:, None, None]
     # the flat index of prefix s - 1 of row r is row_offsets[r] + s
     row_offsets = np.arange(-1, nseg.size - 1, n + 1)[:, None]
-    for e0, _, _, _, losses in engine.fit_blocks(m0):
+    for e0, _, _, losses in engine.fit_blocks(m0):
         _window_steps(best, nseg, back, losses, gamma_column, row_offsets, e0, m0)
 
     warning = None

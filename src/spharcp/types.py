@@ -270,8 +270,8 @@ class DetectorConfig:
     Parameters
     ----------
     p : int
-        Autoregressive order, 1..5 (the exact interval solve visits 3^p
-        sign patterns).
+        Autoregressive order, 1..5 (the exact interval solve tries
+        3^p - p - 1 candidates per row at lam > 0, 2^p - 1 at lam = 0).
     L : int
         Number of multipoles used for fitting.
     lam : float | sequence of float

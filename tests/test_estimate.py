@@ -38,17 +38,21 @@ from conftest import (
 )
 
 
-def enumerated_lasso_solve(gram, corr, thr):
+def enumerated_lasso_solve(gram, corr, thr, *, penalized, phi=None):
     """Reference exact solve that tries every sign vector on every support.
 
     One-coordinate supports included, so it checks the single sign that
-    ``_lasso_solve`` tries there. Same square-root-free LDL', same
-    elementwise steps and same strict < as ``_lasso_solve``, on the same
-    coordinate-major layout: gram (p, p, ...), corr (p, ...), with thr
-    broadcasting against a row. Returns ``(phi, best)``, as ``_lasso_solve``.
+    ``_lasso_solve`` tries there, and every sign also when not
+    ``penalized``. Same square-root-free LDL', same elementwise steps and
+    same strict < as ``_lasso_solve``, on the same coordinate-major layout:
+    gram (p, p, ...), corr (p, ...), with thr broadcasting against a row.
+    Called as ``_lasso_solve``: returns ``(best, norm)``, ``norm`` being
+    ``np.abs(phi).sum(axis=0)`` of its own coefficients when ``penalized``
+    and None otherwise, and copies the coefficients into ``phi`` when given.
     """
     p = len(corr)
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
+    out = phi
     phi = np.zeros((p,) + shape)
     best = np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -91,7 +95,65 @@ def enumerated_lasso_solve(gram, corr, thr):
                     np.copyto(phi, 0.0, where=better)
                     for j, a in enumerate(A):
                         np.copyto(phi[a], x[j][i], where=better)
-    return phi, best
+    if out is not None:
+        out[...] = phi
+    return best, np.abs(phi).sum(axis=0) if penalized else None
+
+
+def coefficient_solve(solve, gram, corr, thr, penalized):
+    """``(phi, best, norm)`` of ``solve`` asked for the coefficients."""
+    shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
+    phi = np.zeros((len(corr),) + shape)
+    best, norm = solve(gram, corr, thr, penalized=penalized, phi=phi)
+    return phi, best, norm
+
+
+def solver_rows(rng, p):
+    """Two (gram, corr, thr) sets of 40 rows of the solver's edge cases.
+
+    The first has thresholds from 0 to 4, 0 on rows 6..8, with corr at
+    +-thr, at +-0 and beyond the threshold on a zero lag (g = 0). The
+    second holds the same rows at thr = 0 everywhere, with more: corr of
+    +-0, a diagonal Gram solving to x_1 = 0, a NaN correlation, an
+    infinite cross moment, and the first lag's one-coordinate support at
+    g < 0, at corr_0 NaN, +inf and -inf, and at g = 0 = corr_0. Rows
+    20..29 have near-collinear first and last lags in both.
+    """
+    x = rng.standard_normal((40, 25, p))
+    # near-collinear first and last lags on rows 20..29
+    x[20:30, :, -1] = x[20:30, :, 0] + 1e-6 * rng.standard_normal((10, 25))
+    gram = np.einsum("rtj,rtk->jkr", x, x)
+    corr = np.einsum("rtj,rt->jr", x, rng.standard_normal((40, 25)))
+    thr = rng.uniform(0.0, 4.0, 40)
+    thr[6:9] = 0.0
+    corr[0, 0], corr[0, 1] = thr[0], -thr[1]
+    corr[0, 2], corr[0, 3] = 0.0, -0.0
+    corr[0, 6], corr[0, 7] = 0.0, -0.0
+    # a zero lag: g = 0 with corr beyond the threshold on either side
+    gram[0, :, 4:6] = gram[:, 0, 4:6] = 0.0
+    gram[0, :, 8] = gram[:, 0, 8] = 0.0
+    corr[0, 4], corr[0, 5], corr[0, 8] = thr[4] + 1.0, -thr[5] - 1.0, 2.0
+    first = (gram.copy(), corr.copy(), thr.copy())
+
+    # thr = 0 everywhere. Rows 4, 5 and 8 keep their zero lag (g = 0), rows
+    # 20..29 their near-collinear lags.
+    thr[:] = 0.0
+    corr[:, 10], corr[:, 11] = 0.0, -0.0
+    corr[0, 12] = -0.0
+    # a diagonal Gram with corr_1 = +-0: the full support solves to x_1 = 0
+    gram[:, :, 13:15] = np.diag(np.arange(1.0, p + 1))[:, :, None]
+    corr[:, 13:15] = 1.0
+    corr[-1, 13], corr[-1, 14] = 0.0, -0.0
+    # non-finite rows: a NaN correlation, an infinite cross moment
+    corr[-1, 15] = np.nan
+    gram[0, -1, 16] = gram[-1, 0, 16] = np.inf
+    # the first lag's one-coordinate support, x = corr_0 / g: g < 0,
+    # corr_0 NaN, +inf and -inf, and g = 0 with corr_0 = 0 (x = NaN)
+    gram[0, 0, 30] = -1.0
+    corr[0, 31], corr[0, 32], corr[0, 33] = np.nan, np.inf, -np.inf
+    gram[0, :, 34] = gram[:, 0, 34] = 0.0
+    corr[0, 34] = 0.0
+    return first, (gram, corr, thr)
 
 
 def penalty_scale(lam, s, e, ell, p):
@@ -157,7 +219,9 @@ class TestLassoFitInterval:
         x = rng.standard_normal((40, 3))
         x[:, 2] = x[:, 0] + 1e-3 * rng.standard_normal(40)
         y = rng.standard_normal(40)
-        phi = _lasso_solve((x.T @ x)[:, :, None], (x.T @ y)[:, None], np.zeros(1))[0][:, 0]
+        phi = coefficient_solve(
+            _lasso_solve, (x.T @ x)[:, :, None], (x.T @ y)[:, None], np.zeros(1), False
+        )[0][:, 0]
         _, (oracle,), _, _ = np.linalg.lstsq(x, y, rcond=None)
         assert float(((y - x @ phi) ** 2).sum()) == pytest.approx(oracle, rel=1e-12)
 
@@ -171,15 +235,15 @@ class TestLassoFitInterval:
             gram[0, 0, 3] = 0.0
             thr = rng.uniform(0.0, 3.0, 30)
             corr[0, 4], corr[0, 5] = thr[4], -thr[5]
-            batch, batch_best = _lasso_solve(gram, corr, thr)
+            batch, batch_best, _ = coefficient_solve(_lasso_solve, gram, corr, thr, True)
             for r in range(30):
-                alone, alone_best = _lasso_solve(
-                    gram[:, :, r : r + 1], corr[:, r : r + 1], thr[r : r + 1]
+                alone, alone_best, _ = coefficient_solve(
+                    _lasso_solve, gram[:, :, r : r + 1], corr[:, r : r + 1], thr[r : r + 1], True
                 )
                 assert np.array_equal(batch[:, r], alone[:, 0])
                 assert batch_best[r] == alone_best[0]
-            grid, grid_best = _lasso_solve(
-                gram.reshape(p, p, 5, 6), corr.reshape(p, 5, 6), thr.reshape(5, 6)
+            grid, grid_best, _ = coefficient_solve(
+                _lasso_solve, gram.reshape(p, p, 5, 6), corr.reshape(p, 5, 6), thr.reshape(5, 6), True
             )
             assert np.array_equal(grid.reshape(p, 30), batch)
             assert np.array_equal(grid_best.reshape(30), batch_best)
@@ -192,22 +256,9 @@ class TestLassoFitInterval:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_solve_matches_both_sign_enumeration_bitwise(self, rng, p):
-        x = rng.standard_normal((40, 25, p))
-        # near-collinear first and last lags on rows 20..29
-        x[20:30, :, -1] = x[20:30, :, 0] + 1e-6 * rng.standard_normal((10, 25))
-        gram = np.einsum("rtj,rtk->jkr", x, x)
-        corr = np.einsum("rtj,rt->jr", x, rng.standard_normal((40, 25)))
-        thr = rng.uniform(0.0, 4.0, 40)
-        thr[6:9] = 0.0
-        corr[0, 0], corr[0, 1] = thr[0], -thr[1]
-        corr[0, 2], corr[0, 3] = 0.0, -0.0
-        corr[0, 6], corr[0, 7] = 0.0, -0.0
-        # a zero lag: g = 0 with corr beyond the threshold on either side
-        gram[0, :, 4:6] = gram[:, 0, 4:6] = 0.0
-        gram[0, :, 8] = gram[:, 0, 8] = 0.0
-        corr[0, 4], corr[0, 5], corr[0, 8] = thr[4] + 1.0, -thr[5] - 1.0, 2.0
-        got, got_best = _lasso_solve(gram, corr, thr)
-        want, want_best = enumerated_lasso_solve(gram, corr, thr)
+        (gram, corr, thr), zero_thr = solver_rows(rng, p)
+        got, got_best, _ = coefficient_solve(_lasso_solve, gram, corr, thr, True)
+        want, want_best, _ = coefficient_solve(enumerated_lasso_solve, gram, corr, thr, True)
         assert np.array_equal(got, want)
         assert same_bits(got_best, want_best)
         assert np.isfinite(got).all()
@@ -215,27 +266,10 @@ class TestLassoFitInterval:
         if p == 1:  # soft(corr, thr) / g is 0 at |corr| <= thr
             assert (got[0, :4] == 0.0).all() and (got[0, 6:8] == 0.0).all()
 
-        # thr = 0 everywhere: one sign vector per support of two or more lags.
-        # Rows 4, 5 and 8 keep their zero lag (g = 0), rows 20..29 their
-        # near-collinear lags.
-        thr[:] = 0.0
-        corr[:, 10], corr[:, 11] = 0.0, -0.0
-        corr[0, 12] = -0.0
-        # a diagonal Gram with corr_1 = +-0: the full support solves to x_1 = 0
-        gram[:, :, 13:15] = np.diag(np.arange(1.0, p + 1))[:, :, None]
-        corr[:, 13:15] = 1.0
-        corr[-1, 13], corr[-1, 14] = 0.0, -0.0
-        # non-finite rows: a NaN correlation, an infinite cross moment
-        corr[-1, 15] = np.nan
-        gram[0, -1, 16] = gram[-1, 0, 16] = np.inf
-        # the first lag's one-coordinate support, x = corr_0 / g: g < 0,
-        # corr_0 NaN, +inf and -inf, and g = 0 with corr_0 = 0 (x = NaN)
-        gram[0, 0, 30] = -1.0
-        corr[0, 31], corr[0, 32], corr[0, 33] = np.nan, np.inf, -np.inf
-        gram[0, :, 34] = gram[:, 0, 34] = 0.0
-        corr[0, 34] = 0.0
-        got, got_best = _lasso_solve(gram, corr, thr)
-        want, want_best = enumerated_lasso_solve(gram, corr, thr)
+        # thr = 0 everywhere: one sign vector per support of two or more lags
+        gram, corr, thr = zero_thr
+        got, got_best, _ = coefficient_solve(_lasso_solve, gram, corr, thr, False)
+        want, want_best, _ = coefficient_solve(enumerated_lasso_solve, gram, corr, thr, False)
         assert same_bits(got, want)
         assert same_bits(got_best, want_best)
         # an infinite corr_0 is its own minimizer, at objective -inf
@@ -244,12 +278,36 @@ class TestLassoFitInterval:
         # the same rows in a call that enumerates every sign vector
         mixed = thr.copy()
         mixed[-1] = 1.0
-        mixed_phi, mixed_best = _lasso_solve(gram, corr, mixed)
+        mixed_phi, mixed_best, _ = coefficient_solve(_lasso_solve, gram, corr, mixed, True)
         assert same_bits(mixed_phi[:, :-1], got[:, :-1])
         assert same_bits(mixed_best[:-1], got_best[:-1])
         assert np.isfinite(np.delete(got, [32, 33], axis=1)).all()
         assert (got[-1, 13:15] == 0.0).all()
         assert (got[:-1, 13:15] == 1.0 / np.arange(1, p)[:, None]).all()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_loss_only_solve_keeps_the_coefficient_solves_bits(self, rng, p):
+        # the solve asked for no coefficients keeps the same objective, and
+        # the winner's ||phi||_1 as np.abs(phi).sum(axis=0) adds it
+        (gram, corr, thr), (gram0, corr0, thr0) = solver_rows(rng, p)
+        mixed = thr0.copy()
+        mixed[-1] = 1.0
+        for g, c, t, penalized in (
+            (gram, corr, thr, True),
+            (gram0, corr0, thr0, False),
+            (gram0, corr0, mixed, True),
+        ):
+            phi, best, norm = coefficient_solve(_lasso_solve, g, c, t, penalized)
+            loss_best, loss_norm = _lasso_solve(g, c, t, penalized=penalized)
+            assert same_bits(loss_best, best)
+            if penalized:
+                assert same_bits(loss_norm, np.abs(phi).sum(axis=0))
+                assert same_bits(norm, loss_norm)
+            else:
+                assert loss_norm is None and norm is None
+        # the winners of the first set hold up to p coordinates
+        sizes = np.count_nonzero(coefficient_solve(_lasso_solve, gram, corr, thr, True)[0], axis=0)
+        assert sizes.max() == p
 
     def test_interval_too_short_rejected(self):
         series = random_series(n=20, L=1, seed=4)
@@ -390,15 +448,14 @@ class TestIntervalLoss:
         engine = IntervalLossEngine(series, self.config(L=3, p=4), (0.5, 0.0))
         got = list(engine.fit_blocks(m0))
         assert [(e0, e1) for e0, e1, *_ in got] == list(engine.blocks(m0))
-        for e0, e1, phi, rss, loss in got:
+        for e0, e1, rss, loss in got:
             # starts 1..e1-m0 of every end, and one more
-            shape = (2, e1 - e0 + 1, 3, e1 - m0 + 1)
-            assert phi.shape == (4,) + shape and rss.shape == shape
+            assert rss.shape == (2, e1 - e0 + 1, 3, e1 - m0 + 1)
             for b, e in enumerate(range(e0, e1 + 1)):
                 assert np.isfinite(loss[:, b, : e - m0]).all()
                 assert (loss[:, b, e - m0 :] == np.inf).all()
         # the late blocks of one end hold more rows than the budget
-        e0, e1, _, rss, _ = got[-1]
+        e0, e1, rss, _ = got[-1]
         assert e0 == e1 == n and rss[0].size * 16 > _BLOCK_ROWS
         with pytest.raises(ValueError, match="too short to fit AR"):
             next(engine.fit_blocks(3))

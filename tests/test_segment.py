@@ -252,13 +252,13 @@ def test_detect_grid_of_an_empty_axis_is_empty():
 
 
 def fits_by_end(engine, m0):
-    """``phi`` (Λ, p, L, k), ``rss`` (Λ, L, k) and ``loss`` (Λ, k) of the starts
-    1..k, k = e - m0, of every end e, keyed by end."""
+    """``rss`` (Λ, L, k) and ``loss`` (Λ, k) of the starts 1..k, k = e - m0,
+    of every end e, keyed by end."""
     fits = {}
-    for e0, e1, phi, rss, loss in engine.fit_blocks(m0):
+    for e0, e1, rss, loss in engine.fit_blocks(m0):
         for b, e in enumerate(range(e0, e1 + 1)):
             k = e - m0
-            fits[e] = (phi[:, :, b, :, :k].swapaxes(0, 1), rss[:, b, :, :k], loss[:, b, :k])
+            fits[e] = (rss[:, b, :, :k], loss[:, b, :k])
     return fits
 
 
@@ -279,6 +279,12 @@ def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
         for e, fit_1 in fits_by_end(one, p).items():
             for got, want in zip(fits[e], fit_1, strict=True):
                 assert same_bits(got[i], want[0])
+        # the blocks keep no coefficients, so compare the fits' own: every
+        # start of every tenth end and of the last (every end would cost
+        # about 100 times the rest of this test)
+        for e in (*range(p + 1, 80, 10), 80):
+            for s in range(1, e - p + 1):
+                assert same_bits(engine.fit(s, e, i).phi, one.fit(s, e).phi)
         fit, fit_1 = engine.fit(4, 25, i), one.fit(4, 25)
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
@@ -487,13 +493,13 @@ class TestDpTable:
         config = DetectorConfig(p=1, L=2, lam=0.4, gamma=1.0, delta=4)
         engine = IntervalLossEngine(series, config)
         m0 = config.delta - 1
-        for e, (_, rss, losses) in fits_by_end(engine, m0).items():
+        for e, (rss, losses) in fits_by_end(engine, m0).items():
             for s in range(1, e - m0 + 1):
                 fresh = IntervalLossEngine(series, config).fit(s, e)
                 assert losses[0, s - 1] == fresh.loss
                 assert np.array_equal(rss[0, :, s - 1], fresh.rss)
         # the starts past each end's largest come back as +inf
-        for e0, e1, _, _, losses in engine.fit_blocks(m0):
+        for e0, e1, _, losses in engine.fit_blocks(m0):
             for b, e in enumerate(range(e0, e1 + 1)):
                 assert (losses[0, b, e - m0 :] == math.inf).all()
 
