@@ -248,9 +248,9 @@ class IntervalLossEngine:
     segment ends forward, keeping the running moments of every start, and
     fits every interval of a block of ends (``blocks``) at every lambda
     with one exact LASSO solve, which keeps the losses and no
-    coefficients; ``fit(s, e, lam_index)`` fits one interval, coefficients
-    included, from the same forward sum. Instances are immutable after
-    construction and safe to share across threads.
+    coefficients; ``fit(s, e, lam_index)`` fits one interval at one
+    lambda, coefficients included, from the same forward sum. Instances
+    are immutable after construction and safe to share across threads.
 
     Construction raises ``DegenerateFitError``, naming the first multipole
     at fault, when a product, or 4 times the sum over t and the multipoles
@@ -378,13 +378,21 @@ class IntervalLossEngine:
             yield e0, e1, rss, loss
 
     def _solve(
-        self, moments: np.ndarray, e0: int, s0: int, phi: np.ndarray | None = None
+        self,
+        moments: np.ndarray,
+        e0: int,
+        s0: int,
+        phi: np.ndarray | None = None,
+        lams: slice = slice(None),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fits of [s0 + c, e0 + b] from ``moments[b, :, :, c]`` (B, pairs, L, S).
 
-        Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and writes the
-        coefficients into ``phi``, a zeroed (p, Λ, B, L, S) array, when one
-        is given (``_lasso_solve``). The solve's kept candidate solves
+        Solves at the penalties ``self.lams[lams]``, Λ of them (by default
+        all). Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and
+        writes the coefficients into ``phi``, a zeroed (p, Λ, B, L, S)
+        array, when one is given (``_lasso_solve``). Each penalty's rows
+        are solved elementwise, so they keep their bits whichever other
+        penalties share the call. The solve's kept candidate solves
         G_AA x = corr_A - thr sigma, so phi'G phi = corr'phi - thr ||phi||_1:
         the rss syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the
         solve's objective ``best`` and ``norm`` = ||phi||_1 as
@@ -395,7 +403,7 @@ class IntervalLossEngine:
         """
         n_ends, _, _, n_starts = moments.shape
         p = self.config.p
-        thr = self._thr
+        thr = self._thr[lams]
         if self._penalized:
             thr = thr[:, e0 - p : e0 - p + n_ends, :, s0 - 1 : s0 - 1 + n_starts]
         syy = moments[:, 0]
@@ -409,22 +417,23 @@ class IntervalLossEngine:
         return rss, rss.sum(axis=2)
 
     def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:
-        """Fit of [s, e] at the penalty ``lams[lam_index]``."""
+        """Fit of [s, e] at the penalty ``lams[lam_index]``, solved at that one only."""
         p, n = self.config.p, self.series.n
         if not 1 <= s <= e <= n:
             raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
         if e - s < p:
             raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
+        lam = range(len(self.lams))[lam_index]  # counts from the end if < 0
         # start s as fit_blocks sums it, then a start of zero moments (_solve)
         moments = np.full((1,) + self._prod.shape[1:3] + (2,), -0.0)
         moments[0, ..., :1] = np.cumsum(self._prod[s + p - 1 : e], axis=0)[-1]
-        phi = np.zeros((p, len(self.lams), 1, self.config.L, 2))
-        rss, loss = self._solve(moments, e, s, phi)
+        phi = np.zeros((p, 1, 1, self.config.L, 2))
+        rss, loss = self._solve(moments, e, s, phi, slice(lam, lam + 1))
         return IntervalFit(
             interval=(s, e),
-            phi=phi[:, lam_index, 0, :, 0].T,
-            rss=rss[lam_index, 0, :, 0],
-            loss=float(loss[lam_index, 0, 0]),
+            phi=phi[:, 0, 0, :, 0].T,
+            rss=rss[0, 0, :, 0],
+            loss=float(loss[0, 0, 0]),
             n_eff=e - s - p + 1,
         )
 

@@ -5,11 +5,15 @@ it into the series. The named benchmark scenarios are built by
 ``bench.make_scenario`` from ``build_beta``.
 
 Every (ell, m) stream draws from its own RNG substream keyed by
-(seed, slot), so output is deterministic, independent of evaluation
-order, and stable under extending L. The AR recursion runs over all
-slots at once and adds the lag terms in order with elementwise
-arithmetic (no BLAS call), so the output bits do not depend on the BLAS
-build.
+(seed, slot), bitwise ``np.random.default_rng([seed, slot])``, so output
+is deterministic, independent of evaluation order, and stable under
+extending L. The substreams are PCG64 generators (O'Neill 2014) seeded
+through numpy's ``SeedSequence``; their initial states are computed for
+all slots in one vectorised pass (``_substream_states``), and one
+generator draws each slot's stream from its state in turn. The AR
+recursion runs over all slots at once, in place in the innovations
+array, and adds the lag terms in order with elementwise arithmetic (no
+BLAS call), so the output bits do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -22,6 +26,14 @@ from spharcp.errors import ConfigError
 from spharcp.types import CoefficientSeries, Partition, SegmentSpec, check_integer
 
 DEFAULT_BURN_IN = 500
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,81 @@ def _step_program(spec: ScenarioSpec) -> list[tuple[int, int, bool, bool]]:
     return program
 
 
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants init * mult^k mod 2^32, k = 0..count, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``value`` with the next constant.
+
+    Row i is xored with ``consts[i]`` and multiplied by ``consts[i + 1]``,
+    the constant as the hash has just advanced it. uint32 array arithmetic
+    wraps mod 2^32 without a warning.
+    """
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``, in place in x."""
+    x *= _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _substream_states(seed: int, slots: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng([seed, slot])`` per slot.
+
+    That generator is ``PCG64(SeedSequence([seed, slot]))``. Its entropy
+    words are the seed's 32-bit words, least significant first (seed 0
+    gives the one word 0), then the slot. ``SeedSequence`` mixes them into
+    a pool of 4 words and hashes the pool into 8 words, read as four
+    64-bit words w0..w3 (low word first); these run here as uint32 array
+    operations over the slot axis, every hash constant in the order the
+    scalar hash uses it. PCG64 then seeds with initstate = w0 2^64 + w1
+    and initseq = w2 2^64 + w3: inc = 2 initseq + 1, and the state is two
+    LCG steps from 0 with initstate added between them, mod 2^128.
+    """
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = np.empty((len(words) + 1, slots), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(slots)
+    extra = entropy[4:]
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * len(extra))
+    # the first 4 entropy words, padded with 0, each hashed once
+    pool = np.zeros((4, slots), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = _hashmix(pool, consts[:5])
+    # every pool word mixed into the other three, in increasing order
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+        k += 3
+    # entropy past the pool mixed into every pool word
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, consts[k : k + 5]))
+        k += 4
+    hashed = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
+    hashed = hashed.astype(np.uint64)
+    w = (hashed[0::2] | hashed[1::2] << np.uint64(32)).tolist()
+    states = []
+    for w0, w1, w2, w3 in zip(*w):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     """Generate the coefficient series described by a scenario.
 
@@ -123,38 +210,50 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     multipole values repeated 2*ell+1 times, and each step adds the lag
     terms one at a time in lag order, then the segment's per-slot
     ``intercept`` when it has one (a segment without one is centered),
-    then the innovation. No BLAS call is made, so the output bits do not
-    depend on the BLAS build, and a fixed spec always gives the same
-    series.
+    then the innovation. The path overwrites the scaled innovations row
+    by row: a step reads lag j from the path row j steps back (a zero row
+    before the start and after a restart) and sums the terms in one
+    scratch row. No BLAS call is made, so the output bits do not depend
+    on the BLAS build, and a fixed spec always gives the same series.
     """
     program = _step_program(spec)
     total = sum(count for count, _, _, _ in program)
     slots = spec.L * spec.L
     noise = np.empty((total, slots))
-    for slot in range(slots):
-        noise[:, slot] = np.random.default_rng([spec.seed, slot]).standard_normal(total)
+    bit_generator = np.random.PCG64(0)  # its seed is overwritten by every slot's state
+    draw = np.random.Generator(bit_generator).standard_normal
+    for slot, (state, inc) in enumerate(_substream_states(spec.seed, slots)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        noise[:, slot] = draw(total)
 
     widths = 2 * np.arange(spec.L) + 1
-    hist = np.zeros((spec.p, slots))  # hist[j-1] = value at lag j
+    zero = np.zeros(slots)
+    lag = [zero] * spec.p  # lag[j - 1] = the path row j steps back
+    acc = np.empty(slots)
+    term = np.empty(slots)
     emitted = []
     pos = 0
     for count, k, emit, reset in program:
         if reset:
-            hist[:] = 0.0
+            lag = [zero] * spec.p
         segment = spec.segments[k]
         phi = np.repeat(segment.coeffs.phi.T, widths, axis=1)  # phi[j-1] = lag-j weight per slot
         mu = segment.intercept  # per slot, or None
         block = noise[pos : pos + count]  # innovations, overwritten row by row by the path
         block *= np.repeat(np.sqrt(segment.noise_spectrum), widths)
         for z in block:
-            lags = phi[0] * hist[0]
+            np.multiply(phi[0], lag[0], out=acc)
             for j in range(1, spec.p):
-                lags += phi[j] * hist[j]
+                acc += np.multiply(phi[j], lag[j], out=term)
             if mu is not None:
-                lags += mu
-            z += lags
-            hist[1:] = hist[:-1]
-            hist[0] = z
+                acc += mu
+            z += acc
+            lag = [z, *lag[:-1]]
         if emit:
             emitted.append(block)
         pos += count

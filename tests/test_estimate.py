@@ -460,6 +460,24 @@ class TestIntervalLoss:
         with pytest.raises(ValueError, match="too short to fit AR"):
             next(engine.fit_blocks(3))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_fit_solves_its_own_lambda_with_the_all_lambda_bits(self, p):
+        # the all-lambda solve of one interval, laid out as fit lays it out
+        series = random_series(n=40, L=3, seed=21 + p)
+        engine = IntervalLossEngine(series, self.config(L=3, p=p), (0.0, 0.5, 1.0))
+        for s, e in ((1, 40), (4, 25), (17, 17 + p), (30, 40)):
+            moments = np.full((1,) + engine._prod.shape[1:3] + (2,), -0.0)
+            moments[0, ..., :1] = np.cumsum(engine._prod[s + p - 1 : e], axis=0)[-1]
+            phi = np.zeros((p, 3, 1, 3, 2))
+            rss, loss = engine._solve(moments, e, s, phi)
+            for i in range(3):
+                for fit in (engine.fit(s, e, i), engine.fit(s, e, i - 3)):
+                    assert same_bits(fit.phi, phi[:, i, 0, :, 0].T)
+                    assert same_bits(fit.rss, rss[i, 0, :, 0])
+                    assert same_bits(fit.loss, loss[i, 0, 0])
+        with pytest.raises(IndexError):
+            engine.fit(1, 40, 3)
+
     def test_fit_rejects_intervals_outside_the_series_or_too_short(self):
         engine = IntervalLossEngine(random_series(n=30, L=2, seed=9), self.config(L=2, p=2))
         for s, e in ((0, 10), (5, 31), (12, 10)):

@@ -1,6 +1,7 @@
 """Scenario recipes and the piecewise AR simulator."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from spharcp.bench import make_scenario
 from spharcp.errors import ConfigError
-from spharcp.simulate import ScenarioSpec, build_beta, simulate
+from spharcp.simulate import ScenarioSpec, _substream_states, build_beta, simulate
 from spharcp.types import ArCoefficients, Partition, SegmentSpec
 
 from conftest import ar1_series
@@ -218,7 +219,7 @@ def test_ar1_helper_matches_direct_recursion():
     for i in range(500, 530):
         x = 0.4 * x + np.sqrt(2.0) * draws[i]
         out.append(x)
-    assert np.allclose(series.stream(0, 0), out, rtol=0, atol=1e-12)
+    assert np.array_equal(series.stream(0, 0), out)
 
 
 def replay_stream(spec, ell, m):
@@ -305,3 +306,50 @@ def test_simulate_matches_scalar_replay_bitwise(p, junction):
             for m in range(-ell, ell + 1):
                 want = replay_stream(spec, ell, m)
                 assert np.array_equal(series.stream(ell, m), want), (ell, m, intercepts)
+
+
+# one-word seeds, the largest one-word and smallest two-word seeds, three
+# words (with the slot word, SeedSequence's full pool of 4), five words (past
+# the pool: the extra mixing loop), and a numpy integer
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130, np.int64(7)]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS, ids=str)
+def test_substream_states_equal_default_rng_states(seed):
+    slots = 12 * 12
+    states = _substream_states(seed, slots)
+    assert len(states) == slots
+    for slot, (state, inc) in enumerate(states):
+        want = np.random.default_rng([seed, slot]).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), slot
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5], ids=str)
+@pytest.mark.parametrize("junction", ["continue", "restart"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_simulate_matches_scalar_replay_bitwise_at_edge_seeds(p, junction, seed):
+    spec = ScenarioSpec(
+        n=45,
+        L=3,
+        p=p,
+        partition=Partition(n=45, change_points=(16, 31)),
+        segments=tuple(
+            SegmentSpec(coeffs=ArCoefficients(p=p, phi=phi), noise_spectrum=np.array(c), intercept=mu)
+            for phi, c, mu in zip(REPLAY_PHI[p], REPLAY_NOISE, REPLAY_INTERCEPT)
+        ),
+        burn_in=40,
+        seed=seed,
+        junction=junction,
+    )
+    series = simulate(spec)
+    for ell in range(3):
+        for m in range(-ell, ell + 1):
+            assert np.array_equal(series.stream(ell, m), replay_stream(spec, ell, m)), (ell, m)
+
+
+def test_simulate_raises_no_warning():
+    # the seeding's uint32 products wrap around mod 2^32 by design
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in EDGE_SEEDS:
+            simulate(make_scenario("epidemic", q=8, d=2, seed=seed))
