@@ -25,7 +25,7 @@ from spharcp.errors import ConfigError
 from spharcp.evaluate import BenchRecord, assign_to_truth, hausdorff_scaled
 from spharcp.segment import detect_grid
 from spharcp.simulate import DEFAULT_BURN_IN, ScenarioSpec, build_beta, simulate
-from spharcp.types import ArCoefficients, DetectorConfig, Partition, SegmentSpec
+from spharcp.types import ArCoefficients, DetectorConfig, Partition, SegmentSpec, check_integer
 
 SCENARIO_L = 10
 
@@ -45,25 +45,15 @@ TUNING_GAMMAS = (100.0, 200.0, 300.0)
 DEFAULT_GRIDS = {"tuning-grid": (TUNING_LAMBDAS, TUNING_GAMMAS)}
 DEFAULT_GRID = ((0.0,), (300.0,))
 
-THREADS_ENV_VAR = "SPHARCP_THREADS"
-
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit argument, else SPHARCP_THREADS, else CPU count."""
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from exc
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    """Worker count: the explicit integer argument, else the CPU count."""
+    if threads is None:
+        return os.cpu_count() or 1
+    threads = check_integer("threads", threads)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    return threads
 
 
 def _map(fn, jobs: list[tuple], threads: int | None) -> list:

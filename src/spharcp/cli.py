@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta", type=int, default=5)
     p_bench.add_argument(
         "--threads", type=int, default=None,
-        help="worker processes (default: $SPHARCP_THREADS or CPU count)",
+        help="worker processes (default: CPU count)",
     )
     p_bench.set_defaults(func=cmd_bench)
 

@@ -7,15 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spharcp.types import check_integer
+
 
 def hausdorff_scaled(est, truth, n: int) -> float:
     """Hausdorff distance between change point sets, scaled by the series length.
 
     Returns 1.0 for an empty estimate set (detection failure convention).
-    The truth set must be nonempty.
+    The truth set must be nonempty. Every change point and ``n`` must be
+    an integer (not a bool or a float), else a ``ConfigError``.
     """
-    truth = sorted(set(int(v) for v in truth))
-    est = sorted(set(int(v) for v in est))
+    truth = sorted({check_integer("truth entry", v) for v in truth})
+    est = sorted({check_integer("est entry", v) for v in est})
+    n = check_integer("n", n)
     if not truth:
         raise ValueError("truth set must be nonempty")
     if n < 1:
@@ -32,12 +36,13 @@ def assign_to_truth(est, truth) -> tuple[tuple[int, ...], ...]:
 
     With two true points eta1 < eta2, an estimate goes to the first group
     iff it lies in [1, eta1 + 0.5 (eta2 - eta1)) (strict upper bound);
-    with one true point everything goes to it.
+    with one true point everything goes to it. Every change point must be
+    an integer (not a bool or a float), else a ``ConfigError``.
     """
-    truth = tuple(sorted(int(v) for v in truth))
+    truth = tuple(sorted(check_integer("truth entry", v) for v in truth))
     if len(truth) not in (1, 2):
         raise ValueError("truth must contain 1 or 2 change points")
-    est = sorted(int(v) for v in est)
+    est = sorted(check_integer("est entry", v) for v in est)
     if len(truth) == 1:
         return (tuple(est),)
     eta1, eta2 = truth

@@ -9,12 +9,12 @@ The recursion walks the segment ends forward, a block of ends at a time
 of every start, fits every interval that ends in the block, and hands
 the losses over laid out by start, as the Bellman step reads them. The
 recursion's fits keep each objective and ||phi||_1, no coefficients;
-only the final fits of the detected segments (``_traceback``) write
-them. A block is sized by the interval rows its ends' starts hold, so
-the early ends, with few starts, share a block. One engine fits each
-block at every LASSO penalty lambda at once, and the losses do not
-depend on gamma, so ``detect_grid`` runs one recursion for a whole
-(lambda, gamma) grid, with one Bellman row per (lambda, gamma);
+only the final fits of the detected segments, read off the back
+pointers, write them. A block is sized by the interval rows its ends'
+starts hold, so the early ends, with few starts, share a block. One
+engine fits each block at every LASSO penalty lambda at once, and the
+losses do not depend on gamma, so ``detect_grid`` runs one recursion for
+a whole (lambda, gamma) grid, with one Bellman row per (lambda, gamma);
 ``detect`` is that recursion at the single lambda and gamma of its
 config. The Bellman step, its tie rule, the admissible starts and why no
 cost is NaN are stated once, in ``detect_grid``.
@@ -125,9 +125,9 @@ def detect_grid(
 
     The least cost wins, and an exact tie goes to fewer segments, then to
     the larger start of the last segment. A unique least cost is taken by
-    ``argmin``; only a tie pays for the stable ``lexsort`` over (cost,
-    segments) of ``_tie_break``, which reads the candidates from the
-    largest start down and takes the first of equal ones.
+    ``argmin``; only a tie pays for a stable ``lexsort`` over (cost,
+    segments), which reads the candidates from the largest start down
+    and takes the first of equal ones.
 
     The rows, however many, step together over a window of up to m0 + 1
     consecutive ends of a block, whose ends read only prefixes below the
@@ -159,10 +159,33 @@ def detect_grid(
 
     m0 = min(delta, n) - 1
     gamma_column = np.asarray(gammas, dtype=float)[:, None, None]
+    rows = best.reshape(len(lams), n_gammas, 1, n + 1)
     # the flat index of prefix s - 1 of row r is row_offsets[r] + s
     row_offsets = np.arange(-1, nseg.size - 1, n + 1)[:, None]
+    # losses[lam, b, s - 1] is the loss of [s, e0 + b], +inf past s = e0 + b - m0
     for e0, _, _, losses in engine.fit_blocks(m0):
-        _window_steps(best, nseg, back, losses, gamma_column, row_offsets, e0, m0)
+        n_ends = losses.shape[1]
+        for b0 in range(0, n_ends, m0 + 1):
+            b1 = min(b0 + m0 + 1, n_ends)
+            # the starts 1..k of the window's last end; every one reads a prefix
+            # below the window's first end, so no end waits on another
+            k = e0 + b1 - 1 - m0
+            cost = rows[..., :k] + losses[:, None, b0:b1, :k]
+            cost += gamma_column
+            cost = cost.reshape(len(configs), b1 - b0, k)
+            low = cost.min(axis=-1)
+            i = cost.argmin(axis=-1)
+            least = cost == low[..., None]
+            # a unique least cost wins outright; only ties take the lexsort
+            if np.count_nonzero(least) != low.size:
+                for r, w in zip(*np.nonzero(np.count_nonzero(least, axis=-1) > 1)):
+                    tied = np.lexsort((nseg[r, k - 1 :: -1], cost[r, w, ::-1]))
+                    i[r, w] = k - 1 - int(tied[0])
+            start = i + 1
+            ends = slice(e0 + b0, e0 + b1)
+            best[:, ends] = low
+            nseg[:, ends] = nseg.take(row_offsets + start) + 1
+            back[:, ends] = start
 
     warning = None
     if n < 2 * delta:
@@ -172,93 +195,30 @@ def detect_grid(
         )
     # the final fits, shared by the rows that end on the same segments
     fits: dict[tuple[int, int, int], IntervalFit] = {}
-    return tuple(
-        _traceback(engine, cfg, r // n_gammas, best[r], back[r], nseg[r], fits, warning)
-        for r, cfg in enumerate(configs)
-    )
-
-
-def _tie_break(cost: np.ndarray, nseg: np.ndarray) -> int:
-    """Index of the winner among candidates of equal least ``cost``, listed
-    from the largest start down: fewer segments ``nseg`` first, then the
-    first listed, the larger start."""
-    return int(np.lexsort((nseg, cost))[0])
-
-
-def _window_steps(
-    best: np.ndarray,
-    nseg: np.ndarray,
-    back: np.ndarray,
-    losses: np.ndarray,
-    gamma_column: np.ndarray,
-    row_offsets: np.ndarray,
-    e0: int,
-    m0: int,
-) -> None:
-    """Every Bellman row (lambda-major, then gamma) over a block's ends, one
-    window of up to m0 + 1 ends at a time, ``losses[lam, b, s - 1]`` being
-    the loss of [s, e] for end e = e0 + b, +inf past that end's largest
-    start e - m0; ``gamma_column`` holds the gammas as a (gammas, 1, 1)
-    column."""
-    n_lam, n_ends, _ = losses.shape
-    rows = best.reshape(n_lam, len(gamma_column), 1, -1)
-    for b0 in range(0, n_ends, m0 + 1):
-        b1 = min(b0 + m0 + 1, n_ends)
-        # the starts 1..k of the window's last end; every one reads a prefix
-        # below the window's first end, so no end waits on another
-        k = e0 + b1 - 1 - m0
-        cost = rows[..., :k] + losses[:, None, b0:b1, :k]
-        cost += gamma_column
-        cost = cost.reshape(len(best), b1 - b0, k)
-        low = cost.min(axis=-1)
-        i = cost.argmin(axis=-1)
-        least = cost == low[..., None]
-        # a unique least cost wins outright; only ties take _tie_break
-        if np.count_nonzero(least) != low.size:
-            for r, w in zip(*np.nonzero(np.count_nonzero(least, axis=-1) > 1)):
-                i[r, w] = k - 1 - _tie_break(cost[r, w, ::-1], nseg[r, k - 1 :: -1])
-        start = i + 1
-        ends = slice(e0 + b0, e0 + b1)
-        best[:, ends] = low
-        nseg[:, ends] = nseg.take(row_offsets + start) + 1
-        back[:, ends] = start
-
-
-def _traceback(
-    engine: IntervalLossEngine,
-    config: DetectorConfig,
-    lam_index: int,
-    best: np.ndarray,
-    back: np.ndarray,
-    nseg: np.ndarray,
-    fits: dict[tuple[int, int, int], IntervalFit],
-    warning: str | None,
-) -> DetectionResult:
-    """Read the optimal partition off one Bellman row and fit its segments
-    at the engine's lambda ``lam_index``, reusing and adding to ``fits``,
-    keyed by (start, end, lam_index)."""
-    n = len(best) - 1
-    starts: list[int] = []
-    e = n
-    while e > 0:
-        s = int(back[e])
-        starts.append(s)
-        e = s - 1
-    starts.reverse()
-
-    partition = Partition(n=n, change_points=tuple(starts[1:]))
-    keys = [(a, b, lam_index) for a, b in partition.segments()]
-    for key in keys:
-        if key not in fits:
-            fits[key] = engine.fit(*key)
-    return DetectionResult(
-        partition=partition,
-        fits=tuple(fits[key] for key in keys),
-        objective=float(best[n]),
-        config=config,
-        dp=DpTable(best_cost=best, back_pointer=back, n_segments=nseg),
-        warning=warning,
-    )
+    results = []
+    for r, cfg in enumerate(configs):
+        # the segment starts, last first, read off the back pointers
+        starts = []
+        e = n
+        while e > 0:
+            starts.append(int(back[r, e]))
+            e = starts[-1] - 1
+        partition = Partition(n=n, change_points=tuple(reversed(starts[:-1])))
+        keys = [(s, e, r // n_gammas) for s, e in partition.segments()]
+        for key in keys:
+            if key not in fits:
+                fits[key] = engine.fit(*key)
+        results.append(
+            DetectionResult(
+                partition=partition,
+                fits=tuple(fits[key] for key in keys),
+                objective=float(best[r, n]),
+                config=cfg,
+                dp=DpTable(best_cost=best[r], back_pointer=back[r], n_segments=nseg[r]),
+                warning=warning,
+            )
+        )
+    return tuple(results)
 
 
 def objective_of(

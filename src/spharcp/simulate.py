@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spharcp.errors import ConfigError
-from spharcp.types import CoefficientSeries, Partition, SegmentSpec, check_integer
+from spharcp.types import CoefficientSeries, Partition, SegmentSpec, _is_real, check_integer
 
 DEFAULT_BURN_IN = 500
 
@@ -100,28 +100,19 @@ def build_beta(q: int, d: float, L: int) -> np.ndarray:
     """Decaying coefficient profile 0.9 (ell+1)^(-1/(8-d)) truncated at q.
 
     ``q``, an integer in 1..L, sets the number of non-zero leading
-    entries; ``d``, an int or a float below 8 (not a bool, not NaN),
-    controls the decay and hence the separation between the two regimes
-    built from +/- beta.
+    entries; ``d``, an int or a float below 8 (numpy ones too; not a
+    bool, not NaN), controls the decay and hence the separation between
+    the two regimes built from +/- beta. A numpy ``d`` gives the profile
+    of the same Python float.
     """
     if not 1 <= check_integer("q", q) <= L:
         raise ValueError(f"q={q} outside 1..L={L}")
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not d < 8:
+    if not _is_real(d) or not d < 8:
         raise ConfigError(f"d must be a number below 8, got {d!r}")
     ells = np.arange(L, dtype=float)
-    beta = 0.9 * (ells + 1.0) ** (-1.0 / (8.0 - d))
+    beta = 0.9 * (ells + 1.0) ** (-1.0 / (8.0 - float(d)))
     beta[q:] = 0.0
     return beta
-
-
-def _step_program(spec: ScenarioSpec) -> list[tuple[int, int, bool, bool]]:
-    """Sequence of (count, segment, emit, reset_history) blocks."""
-    program: list[tuple[int, int, bool, bool]] = [(spec.burn_in, 0, False, False)]
-    for k, (start, end) in enumerate(spec.partition.segments()):
-        if k > 0 and spec.junction == "restart":
-            program.append((spec.burn_in, k, False, True))
-        program.append((end - start + 1, k, True, False))
-    return program
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -216,8 +207,8 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     scratch row. No BLAS call is made, so the output bits do not depend
     on the BLAS build, and a fixed spec always gives the same series.
     """
-    program = _step_program(spec)
-    total = sum(count for count, _, _, _ in program)
+    restart = spec.junction == "restart"
+    total = spec.n + spec.burn_in * (len(spec.segments) if restart else 1)
     slots = spec.L * spec.L
     noise = np.empty((total, slots))
     bit_generator = np.random.PCG64(0)  # its seed is overwritten by every slot's state
@@ -233,18 +224,21 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
 
     widths = 2 * np.arange(spec.L) + 1
     zero = np.zeros(slots)
-    lag = [zero] * spec.p  # lag[j - 1] = the path row j steps back
     acc = np.empty(slots)
     term = np.empty(slots)
     emitted = []
     pos = 0
-    for count, k, emit, reset in program:
-        if reset:
-            lag = [zero] * spec.p
-        segment = spec.segments[k]
+    for k, ((s, e), segment) in enumerate(zip(spec.partition.segments(), spec.segments)):
+        # segment k's block: the burn-in from zero lags, when it starts afresh,
+        # then its own e - s + 1 rows
+        fresh = k == 0 or restart
+        if fresh:
+            lag = [zero] * spec.p  # lag[j - 1] = the path row j steps back
         phi = np.repeat(segment.coeffs.phi.T, widths, axis=1)  # phi[j-1] = lag-j weight per slot
         mu = segment.intercept  # per slot, or None
-        block = noise[pos : pos + count]  # innovations, overwritten row by row by the path
+        block = noise[pos : pos + spec.burn_in * fresh + e - s + 1]
+        pos += len(block)
+        # the innovations, overwritten row by row by the path
         block *= np.repeat(np.sqrt(segment.noise_spectrum), widths)
         for z in block:
             np.multiply(phi[0], lag[0], out=acc)
@@ -254,8 +248,6 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
                 acc += mu
             z += acc
             lag = [z, *lag[:-1]]
-        if emit:
-            emitted.append(block)
-        pos += count
+        emitted.append(block[-(e - s + 1) :])
 
     return CoefficientSeries(n=spec.n, L=spec.L, data=np.concatenate(emitted))

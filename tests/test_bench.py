@@ -7,7 +7,6 @@ import pytest
 
 from spharcp import bench
 from spharcp.bench import (
-    THREADS_ENV_VAR,
     TUNING_GAMMAS,
     TUNING_LAMBDAS,
     make_scenario,
@@ -42,24 +41,18 @@ def test_make_scenario_unknown_id():
         make_scenario("bogus", 8, 2, 0)
 
 
-def test_resolve_threads_explicit_wins(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "7")
+def test_resolve_threads_explicit_wins():
     assert resolve_threads(3) == 3
 
 
-def test_resolve_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "7")
-    assert resolve_threads(None) == 7
+@pytest.mark.parametrize("threads", [True, 2.5])
+def test_resolve_threads_rejects_a_count_that_is_not_an_integer(threads):
+    # checked before any pool starts: a bool is not 1 worker, a float not truncated
+    with pytest.raises(ConfigError, match=r"^threads must be an integer, got "):
+        resolve_threads(threads)
 
 
-def test_resolve_threads_rejects_garbage_env(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "many")
-    with pytest.raises(ConfigError):
-        resolve_threads(None)
-
-
-def test_resolve_threads_default_positive(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+def test_resolve_threads_default_positive():
     assert resolve_threads(None) >= 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spharcp.errors import ConfigError
 from spharcp.evaluate import (
     BenchRecord,
     aggregate,
@@ -31,6 +32,24 @@ class TestHausdorffScaled:
     def test_empty_truth_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_scaled({5}, set(), 10)
+
+    @pytest.mark.parametrize(
+        "est, truth, n, field",
+        [
+            ([30.7], [100], 200, "est entry"),
+            ([True], [100], 200, "est entry"),
+            ([90], [100.0], 200, "truth entry"),
+            ([90], [100], 200.0, "n"),
+            ([90], [100], True, "n"),
+        ],
+    )
+    def test_rejects_a_value_that_is_not_an_integer(self, est, truth, n, field):
+        # not truncated: 30.7 would score as 30 and True as t = 1
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            hausdorff_scaled(est, truth, n)
+
+    def test_accepts_numpy_integers(self):
+        assert hausdorff_scaled([np.int64(90)], [np.int32(100)], np.int64(200)) == 0.05
 
     @given(int_sets, int_sets)
     def test_matches_double_loop_oracle(self, a, b):
@@ -80,6 +99,14 @@ class TestAssignment:
     def test_rejects_more_than_two_truths(self):
         with pytest.raises(ValueError):
             assign_to_truth({5}, (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "est, truth, field",
+        [([110.5], (75, 150), "est entry"), ([True], (75, 150), "est entry"), ([110], (75.0, 150), "truth entry")],
+    )
+    def test_rejects_a_value_that_is_not_an_integer(self, est, truth, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            assign_to_truth(est, truth)
 
 
 def make_record(est, truth=(100,), n=200, seed=0):

@@ -1,5 +1,6 @@
 """Scenario recipes and the piecewise AR simulator."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -29,10 +30,13 @@ class TestBuildBeta:
         assert (beta[2:] == 0).all()
 
     def test_q1_any_d(self):
-        for d in (-3.0, 0.0, 5.5):
+        for d in (-3.0, 0.0, 5.5, np.int64(2), np.float32(2.0)):
             beta = build_beta(q=1, d=d, L=6)
             assert beta[0] == pytest.approx(0.9)
             assert (beta[1:] == 0).all()
+
+    def test_float32_d_gives_the_python_float_profile(self):
+        assert build_beta(8, np.float32(2.0), 10).tobytes() == build_beta(8, 2.0, 10).tobytes()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -45,7 +49,9 @@ class TestBuildBeta:
         with pytest.raises(ConfigError, match="q must be an integer, got True"):
             build_beta(True, 2.0, 10)
 
-    @pytest.mark.parametrize("d", [None, True, "2", [1], math.nan, 9, 8.0])
+    @pytest.mark.parametrize(
+        "d", [None, True, "2", [1], math.nan, 9, 8.0, np.int64(8), np.float32(math.nan), np.bool_(True)]
+    )
     def test_rejects_d_that_is_not_a_number_below_8(self, d):
         with pytest.raises(ConfigError, match=r"^d must be a number below 8, got "):
             build_beta(8, d, 10)
@@ -285,7 +291,8 @@ REPLAY_INTERCEPT = (np.linspace(-2.0, 3.0, 9), None, np.linspace(4.0, -1.5, 9))
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_simulate_matches_scalar_replay_bitwise(p, junction):
     L, n = 3, 45
-    for intercepts in ((None, None, None), REPLAY_INTERCEPT):
+    # burn_in 0: segment 0 starts from zero lags at its own first row
+    for intercepts, burn_in in itertools.product(((None, None, None), REPLAY_INTERCEPT), (40, 0)):
         spec = ScenarioSpec(
             n=n,
             L=L,
@@ -297,7 +304,7 @@ def test_simulate_matches_scalar_replay_bitwise(p, junction):
                 )
                 for phi, c, mu in zip(REPLAY_PHI[p], REPLAY_NOISE, intercepts)
             ),
-            burn_in=40,
+            burn_in=burn_in,
             seed=29,
             junction=junction,
         )
@@ -305,7 +312,7 @@ def test_simulate_matches_scalar_replay_bitwise(p, junction):
         for ell in range(L):
             for m in range(-ell, ell + 1):
                 want = replay_stream(spec, ell, m)
-                assert np.array_equal(series.stream(ell, m), want), (ell, m, intercepts)
+                assert np.array_equal(series.stream(ell, m), want), (ell, m, intercepts, burn_in)
 
 
 # one-word seeds, the largest one-word and smallest two-word seeds, three
