@@ -188,7 +188,7 @@ def run_grid(
     one result key, so it is a ``ConfigError``. Every setting and the
     scenario at ``base_seed`` are checked before any replicate runs.
     """
-    if reps < 1:
+    if check_integer("reps", reps) < 1:
         raise ConfigError("reps must be >= 1")
     for name, values in (("lambda", lams), ("gamma", gammas)):
         if len(set(values)) < len(values):

@@ -91,27 +91,26 @@ def _lasso_solve(
     solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
     support A and sign vector sigma on A; such a candidate has objective
     -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
-    whose pivots must all be > 0. The least candidate objective wins, by
-    strict <, from phi = 0 at objective 0. A one-coordinate support {a}
-    tries one sign only: x = (corr_a - thr sigma) / G_aa has sign sigma
-    only if corr_a > thr for sigma = +1 or corr_a < -thr for sigma = -1,
-    and with thr >= 0 at most one holds, for sigma = sign(corr_a).
+    whose pivots must all be > 0. A one-coordinate support {a} tries
+    sigma = sign(corr_a) only, as thr >= 0, and takes sigma (corr_a -
+    thr sigma) as u = |corr_a| - thr, the same bits (negation is exact,
+    rounding sign-symmetric): kept where G_aa > 0 and |x| = u / G_aa > 0,
+    at objective 0 - |x| u; x = copysign(|x|, corr_a) only for ``phi``.
 
-    Without ``phi`` the solve keeps ``norm`` as the winner changes: a kept
-    candidate has sigma_j x_j = |x_j| > 0, and the winner's are added in
-    coordinate order, bitwise ``np.abs(phi).sum(axis=0)``, in which the
-    coordinates off its support add +0.0.
-
-    ``penalized=False`` states that every entry of ``thr`` is 0 (the
-    paper's default lambda = 0). The right-hand side is then corr_A for
-    every sigma, so every support solves one system and only sigma =
-    sign(x) can pass: the candidate is kept when every pivot is > 0 and
-    every |x_j| > 0 (NaN fails, as sigma * NaN > 0 does). A one-coordinate
-    support is then x = corr_a / G_aa, kept where G_aa > 0 and |x| > 0,
-    with no sign or threshold arithmetic. The candidates, their objectives
-    and their order are those of the full enumeration, so the rows keep
-    their bits. A ``penalized`` call enumerates every sign vector for all
-    its rows, also those at a lambda = 0 slice of a mixed grid.
+    Where coefficients or ||phi||_1 are kept (``phi``, or ``penalized``),
+    the least kept objective wins by strict <, from phi = 0 at objective
+    0, in support and sign order; without ``phi``, ``norm`` adds the
+    winner's sigma_j x_j = |x_j| > 0 in coordinate order, bitwise
+    ``np.abs(phi).sum(axis=0)``. ``penalized=False`` states that every
+    entry of ``thr`` is 0 (the paper's default lambda = 0): each support
+    solves G_AA x = corr_A once, as only sigma = sign(x) can pass, kept
+    when every pivot is > 0 and every |x_j| > 0 (G_aa > 0 alone at k = 1:
+    x = 0 has objective 0). Without ``phi`` too, ``best`` is the
+    ``np.fmin`` of 0 and every kept objective, in any order: equal values
+    have equal bits, no objective is -0.0 (0.0 - y is +0.0 at y = +-0),
+    and a NaN objective (x_0 b_0 = +inf, x_1 b_1 = -inf) never wins, as
+    under strict <. A ``penalized`` call enumerates every sign vector for
+    all its rows, also at a lambda = 0 slice, with the same ``best``.
 
     Every step is elementwise in a fixed order, so each row is bitwise the
     row solved alone; at p = 1 this is soft(corr, thr) / G.
@@ -120,36 +119,32 @@ def _lasso_solve(
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
     best = np.zeros(shape)
     norm = np.zeros(shape) if penalized and phi is None else None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # k = 1: only sigma = sign(corr) can pass (see above)
-        for a in range(p):
-            g, c = gram[a][a], corr[a]
-            if penalized:
-                sigma = np.copysign(1.0, c)
-                tmp = b = c - thr * sigma
-                x = b / g
-                size = sigma * x  # |x| where kept
-                ok = (g > 0.0) & (size > 0.0)
-            else:
-                b = c
-                x = b / g
-                tmp = np.abs(x)
-                ok = (g > 0.0) & (tmp > 0.0)
-            # obj = 0.0 - x b, accumulated in tmp (b's own buffer when penalized)
-            obj = np.subtract(0.0, np.multiply(x, b, out=tmp), out=tmp)
-            np.copyto(obj, np.inf, where=~ok)
-            better = obj < best
-            np.copyto(best, obj, where=better)
+
+    def keep(obj, ok, size, A, x):
+        # candidate i on A: objective obj[i], kept where ok[i], ||x||_1 size[i], x_j = x(i, j)
+        for i in range(len(obj)):
+            if norm is None and phi is None:
+                np.fmin(best, obj[i], out=best, where=ok[i])
+                continue
+            better = ok[i] & (obj[i] < best)
+            np.copyto(best, obj[i], where=better)
             if norm is not None:
-                np.copyto(norm, size, where=better)
+                np.copyto(norm, size[i], where=better)
             if phi is not None:
                 np.copyto(phi, 0.0, where=better)
-                np.copyto(phi[a], x, where=better)
+                for j, a in enumerate(A):
+                    np.copyto(phi[a], x(i, j), where=better)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(p):
+            g, c = gram[a][a], corr[a]
+            u = np.abs(c) - thr if penalized else np.abs(c)
+            size = u / g  # |x| where kept
+            ok = (g > 0.0) & (size > 0.0) if penalized else g > 0.0
+            obj = np.subtract(0.0, np.multiply(size, u, out=u), out=u)
+            keep(obj[None], ok[None], size[None], (a,), lambda i, j: np.copysign(size, c))
         for k in range(2, p + 1):
-            if penalized:
-                signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
-            else:
-                signs = np.ones((1, k))
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
             signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):
                 d, low = [], {}
@@ -162,11 +157,13 @@ def _lasso_solve(
                             d.append(v)
                         else:
                             low[i, j] = v / d[j]
-                # every sign vector at once: b and x are (2^k, ...) per coordinate.
-                # x is solved in place, forward then back substitution, with one
-                # scratch array for the products: each step is the out-of-place
-                # one in the same order, so the bits are the same.
-                b = [corr[a] - thr * signs[:, j] for j, a in enumerate(A)]
+                # b and x are (2^k, ...) per coordinate, or (1, ...) with b = corr_A at
+                # lambda = 0. x is solved in place, forward then back, with one scratch
+                # array for the products, in the out-of-place steps' order and bits.
+                if penalized:
+                    b = [corr[a] - thr * signs[:, j] for j, a in enumerate(A)]
+                else:
+                    b = [corr[a][None] for a in A]
                 x = [bj.copy() for bj in b]
                 tmp = np.empty_like(x[0])
                 for j in range(k):
@@ -177,6 +174,7 @@ def _lasso_solve(
                     for i in range(j + 1, k):
                         np.subtract(x[j], np.multiply(low[i, j], x[i], out=tmp), out=x[j])
                 ok = np.logical_and.reduce([dj > 0.0 for dj in d])
+                size = None
                 if penalized:
                     # sigma_j x_j, summed in coordinate order: ||x||_1 where kept
                     size = np.multiply(signs[:, 0], x[0])
@@ -187,20 +185,12 @@ def _lasso_solve(
                 else:
                     for j in range(k):
                         ok = ok & (np.abs(x[j], out=tmp) > 0.0)
-                # obj = 0.0 - x_0 b_0 - x_1 b_1 - ..., accumulated in b's buffers
-                obj = np.subtract(0.0, np.multiply(x[0], b[0], out=b[0]), out=b[0])
+                # obj = 0.0 - x_0 b_0 - x_1 b_1 - ..., never in corr's buffers
+                obj = np.multiply(x[0], b[0], out=b[0] if penalized else None)
+                np.subtract(0.0, obj, out=obj)
                 for j in range(1, k):
-                    np.subtract(obj, np.multiply(x[j], b[j], out=b[j]), out=obj)
-                np.copyto(obj, np.inf, where=~ok)
-                for i in range(len(signs)):
-                    better = obj[i] < best
-                    np.copyto(best, obj[i], where=better)
-                    if norm is not None:
-                        np.copyto(norm, size[i], where=better)
-                    if phi is not None:
-                        np.copyto(phi, 0.0, where=better)
-                        for j, a in enumerate(A):
-                            np.copyto(phi[a], x[j][i], where=better)
+                    np.subtract(obj, np.multiply(x[j], b[j], out=tmp), out=obj)
+                keep(obj, ok, size, A, lambda i, j: x[j][i])
     if penalized and phi is not None:
         norm = np.abs(phi).sum(axis=0)
     return best, norm
@@ -276,8 +266,8 @@ class IntervalLossEngine:
         # each lambda is validated as the config's lam would be
         lam = np.array([replace(config, lam=v).lam_per_ell for v in self.lams])
         n, L, p = series.n, config.L, config.p
-        # at lambda = 0 everywhere the solve keeps one sign vector per
-        # support and the rss needs no ||phi||_1 term (_lasso_solve, _solve)
+        # at lambda = 0 everywhere one slice serves every lambda, with one sign
+        # vector per support and no ||phi||_1 term (_lasso_solve, _solve)
         self._penalized = bool(lam.any())
         # solver rows of one interval at one lambda (_BLOCK_ROWS)
         self._interval_rows = L << (p if self._penalized else 1)
@@ -290,12 +280,14 @@ class IntervalLossEngine:
             # rev[..., i] is the threshold at n_eff = n - i, and 0 from i = n on
             rev = np.zeros((len(lam), L, 2 * n + 1))
             rev[..., :n] = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
-            # [lam, j, ell, c] is the threshold of start c + 1 at end j + p,
-            # n_eff = j - c, read through one view built here (_solve)
-            windows = sliding_window_view(rev, n + 1, axis=-1)[:, :, ::-1]
-            self._thr = windows.transpose(0, 2, 1, 3)
+            # [lam, j, ell, c] is the threshold (then 2 thr, thr > 0) of start
+            # c + 1 at end j + p, n_eff = j - c, read through views built here
+            self._thr, self._thr2, self._pos = (
+                sliding_window_view(r, n + 1, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+                for r in (rev, 2.0 * rev, rev > 0.0)
+            )
         else:
-            self._thr = np.zeros((len(lam), 1, 1, 1))
+            self._thr = np.zeros((1, 1, 1, 1))
         self._c_idx, self._g_idx = _moment_indices(config.p)
         # Every interval's moments, and a partition's loss summed over
         # multipoles, are bounded by the running total over multipoles of
@@ -341,7 +333,8 @@ class IntervalLossEngine:
         Yields ``(e0, e1, rss, loss)`` for each block of ``blocks(m0)``:
         ``rss`` (Λ, B, L, K) and ``loss`` (Λ, B, K), indexed
         [lambda, e - e0, multipole, s - 1] for the Λ = ``len(lams)``
-        penalties, the B = e1 - e0 + 1 ends and the starts 1..K,
+        penalties (Λ = 1 when every lambda is 0: one slice serves them all,
+        by broadcasting), the B = e1 - e0 + 1 ends and the starts 1..K,
         K = e1 - m0 + 1: the starts of the last end and one more
         (``_solve``). ``loss`` sums ``rss`` over the multipoles and is +inf
         past each end's largest start e - m0; the starts past e - p are
@@ -388,31 +381,35 @@ class IntervalLossEngine:
         """Fits of [s0 + c, e0 + b] from ``moments[b, :, :, c]`` (B, pairs, L, S).
 
         Solves at the penalties ``self.lams[lams]``, Λ of them (by default
-        all). Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and
-        writes the coefficients into ``phi``, a zeroed (p, Λ, B, L, S)
-        array, when one is given (``_lasso_solve``). Each penalty's rows
-        are solved elementwise, so they keep their bits whichever other
-        penalties share the call. The solve's kept candidate solves
-        G_AA x = corr_A - thr sigma, so phi'G phi = corr'phi - thr ||phi||_1:
-        the rss syy - 2 corr'phi + phi'G phi, clamped at 0, is read off the
-        solve's objective ``best`` and ``norm`` = ||phi||_1 as
-        syy + best - 2 thr norm, with no last term when every lambda is 0.
+        all; one slice, Λ = 1, when every lambda of the engine is 0).
+        Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and writes the
+        coefficients into ``phi``, a zeroed (p, Λ, B, L, S) array, when one
+        is given (``_lasso_solve``). Each penalty's rows are solved
+        elementwise, so they keep their bits whichever other penalties
+        share the call. The kept candidate solves G_AA x = corr_A - thr
+        sigma, so phi'G phi = corr'phi - thr ||phi||_1: the rss
+        syy - 2 corr'phi + phi'G phi, clamped at 0, is syy + best - 2 thr
+        norm from the solve's ``best`` and ``norm`` = ||phi||_1, with no
+        last term where thr = 0 (0 inf, at a norm that overflows, is NaN):
+        a lambda = 0 row of a mixed grid has a lambda = 0 engine's bits.
         With S >= 2 the starts stay numpy's inner loop, so the loss adds the
         multipoles in order, 0 to L-1, whatever B (one start alone would
         take numpy's pairwise sum).
         """
         n_ends, _, _, n_starts = moments.shape
         p = self.config.p
-        thr = self._thr[lams]
-        if self._penalized:
-            thr = thr[:, e0 - p : e0 - p + n_ends, :, s0 - 1 : s0 - 1 + n_starts]
+        rows = (lams, slice(e0 - p, e0 - p + n_ends), slice(None), slice(s0 - 1, s0 - 1 + n_starts))
+        thr = self._thr[rows] if self._penalized else self._thr
         syy = moments[:, 0]
         corr = [moments[:, c] for c in self._c_idx]
         gram = [[moments[:, g] for g in row] for row in self._g_idx]
         best, norm = _lasso_solve(gram, corr, thr, penalized=self._penalized, phi=phi)
         rss = np.add(syy, best, out=best)
         if self._penalized:
-            rss -= 2.0 * thr * norm
+            # rss -= 2 thr norm only where thr > 0
+            pos = self._pos[rows]
+            np.multiply(self._thr2[rows], norm, out=norm, where=pos)
+            np.subtract(rss, norm, out=rss, where=pos)
         np.maximum(rss, 0.0, out=rss)
         return rss, rss.sum(axis=2)
 

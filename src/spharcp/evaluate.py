@@ -55,9 +55,12 @@ def assign_to_truth(est, truth) -> tuple[tuple[int, ...], ...]:
 def assign_and_average(est, truth, n: int) -> tuple[float | None, ...]:
     """Mean scaled location of the estimates assigned to each true point.
 
-    Groups with no assigned estimate are reported as None.
+    Groups with no assigned estimate are reported as None. ``n`` must be
+    an integer (not a bool or a float) >= 1, as in ``hausdorff_scaled``.
     """
     groups = assign_to_truth(est, truth)
+    if check_integer("n", n) < 1:
+        raise ValueError("n must be >= 1")
     return tuple(
         (sum(g) / len(g)) / n if g else None for g in groups
     )

@@ -104,8 +104,10 @@ def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
         {"q": 20},
         {"d": 8.0},
         {"base_seed": -1},
+        {"reps": 1.5},
+        {"reps": True},
     ],
-    ids=["lambda-negative", "gamma-nan", "q-20", "d-8", "seed-negative"],
+    ids=["lambda-negative", "gamma-nan", "q-20", "d-8", "seed-negative", "reps-float", "reps-bool"],
 )
 def test_run_grid_checks_every_input_before_any_replicate(monkeypatch, bad):
     def no_replicates(*args, **kwargs):

@@ -118,6 +118,13 @@ def solver_rows(rng, p):
     infinite cross moment, and the first lag's one-coordinate support at
     g < 0, at corr_0 NaN, +inf and -inf, and at g = 0 = corr_0. Rows
     20..29 have near-collinear first and last lags in both.
+
+    At p >= 2 both sets hold, on lags 0 and 1 of an otherwise identity
+    Gram, a kept two-lag candidate whose objective is NaN (row 17: x_0 b_0
+    = +inf, x_1 b_1 = -inf, beside finite one-lag objectives) and two
+    one-lag candidates that tie exactly (row 18: equal lags, whose pair is
+    singular). Row 9 of the second set ties its first lag's candidate with
+    phi = 0: x corr_0 underflows to 0.
     """
     x = rng.standard_normal((40, 25, p))
     # near-collinear first and last lags on rows 20..29
@@ -133,6 +140,13 @@ def solver_rows(rng, p):
     gram[0, :, 4:6] = gram[:, 0, 4:6] = 0.0
     gram[0, :, 8] = gram[:, 0, 8] = 0.0
     corr[0, 4], corr[0, 5], corr[0, 8] = thr[4] + 1.0, -thr[5] - 1.0, 2.0
+    if p >= 2:
+        gram[:, :, 17:19] = np.eye(p)[:, :, None]
+        corr[:, 17:19] = 0.0
+        gram[0, 1, 17] = gram[1, 0, 17] = 0.99
+        corr[:2, 17] = 1e154, 0.5e154
+        gram[0, 1, 18] = gram[1, 0, 18] = 1.0
+        corr[:2, 18] = 2.0 + thr[18]
     first = (gram.copy(), corr.copy(), thr.copy())
 
     # thr = 0 everywhere. Rows 4, 5 and 8 keep their zero lag (g = 0), rows
@@ -153,6 +167,7 @@ def solver_rows(rng, p):
     corr[0, 31], corr[0, 32], corr[0, 33] = np.nan, np.inf, -np.inf
     gram[0, :, 34] = gram[:, 0, 34] = 0.0
     corr[0, 34] = 0.0
+    gram[0, 0, 9], corr[0, 9] = 1.0, 1e-170
     return first, (gram, corr, thr)
 
 

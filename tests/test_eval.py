@@ -96,6 +96,11 @@ class TestAssignment:
         merged = sorted(v for g in groups for v in g)
         assert merged == sorted(est)
 
+    @pytest.mark.parametrize("n, error", [(True, ConfigError), (225.5, ConfigError), (0, ValueError)])
+    def test_average_rejects_an_n_that_is_not_a_positive_integer(self, n, error):
+        with pytest.raises(error, match="^n must be"):
+            assign_and_average({110}, (75, 150), n)
+
     def test_rejects_more_than_two_truths(self):
         with pytest.raises(ValueError):
             assign_to_truth({5}, (1, 2, 3))

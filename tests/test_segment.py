@@ -289,6 +289,47 @@ def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
 
+def test_zero_lambda_row_of_a_mixed_grid_adds_nothing_for_an_overflowing_norm():
+    # the fits over t = 11 overflow phi to inf, so ||phi||_1 is inf, and
+    # 2 thr ||phi||_1 at thr = 0 would make their rss NaN
+    data = np.full((30, 1), 1e-160)
+    data[10] = 1e150
+    series = CoefficientSeries(n=30, L=1, data=data)
+    config = DetectorConfig(p=1, L=1, gamma=1.0, delta=3)
+    want = detect(series, config)
+    assert want.change_points == (12,) and want.objective == 2.0
+    got = detect_grid(series, config, (0.0, 1.0), (1.0,))
+    assert_same_result(got[0], want)
+    assert not np.isnan(got[1].dp.best_cost).any()
+    mixed = IntervalLossEngine(series, config, (0.0, 1.0)).fit(5, 11, 0)
+    alone = IntervalLossEngine(series, config).fit(5, 11)
+    assert np.isinf(alone.phi).all() and alone.loss == 0.0
+    assert same_bits(mixed.phi, alone.phi) and same_bits(mixed.rss, alone.rss)
+    assert same_bits(mixed.loss, alone.loss)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_an_engine_of_zero_lambdas_solves_one_slice(p, monkeypatch):
+    series = random_series(n=40, L=3, seed=80 + p)
+    config = DetectorConfig(p=p, L=3, delta=4)
+    want = detect_grid(series, config, (0.0,), (0.0, 3.0))
+    slices, solve = [], estimate._lasso_solve
+
+    def counted_solve(gram, corr, thr, **kwargs):
+        slices.append(np.shape(thr)[0])
+        return solve(gram, corr, thr, **kwargs)
+
+    monkeypatch.setattr(estimate, "_lasso_solve", counted_solve)
+    lams = (0.0, 0.0, (0.0, 0.0, 0.0))
+    got = detect_grid(series, config, lams, (0.0, 3.0))
+    assert slices and set(slices) == {1}
+    for r, result in enumerate(got):
+        assert result.config.lam == replace(config, lam=lams[r // 2]).lam
+        assert_same_result(result, replace(want[r % 2], config=result.config))
+    blocks = list(IntervalLossEngine(series, config, lams).fit_blocks(p + 1))
+    assert all(rss.shape[0] == loss.shape[0] == 1 for _, _, rss, loss in blocks)
+
+
 def fresh_bellman(series, config, losses=None):
     """Bellman table from single-interval fits in plain Python loops.
 
