@@ -97,20 +97,20 @@ def _lasso_solve(
     rounding sign-symmetric): kept where G_aa > 0 and |x| = u / G_aa > 0,
     at objective 0 - |x| u; x = copysign(|x|, corr_a) only for ``phi``.
 
-    Where coefficients or ||phi||_1 are kept (``phi``, or ``penalized``),
-    the least kept objective wins by strict <, from phi = 0 at objective
-    0, in support and sign order; without ``phi``, ``norm`` adds the
-    winner's sigma_j x_j = |x_j| > 0 in coordinate order, bitwise
-    ``np.abs(phi).sum(axis=0)``. ``penalized=False`` states that every
-    entry of ``thr`` is 0 (the paper's default lambda = 0): each support
-    solves G_AA x = corr_A once, as only sigma = sign(x) can pass, kept
-    when every pivot is > 0 and every |x_j| > 0 (G_aa > 0 alone at k = 1:
-    x = 0 has objective 0). Without ``phi`` too, ``best`` is the
-    ``np.fmin`` of 0 and every kept objective, in any order: equal values
-    have equal bits, no objective is -0.0 (0.0 - y is +0.0 at y = +-0),
-    and a NaN objective (x_0 b_0 = +inf, x_1 b_1 = -inf) never wins, as
-    under strict <. A ``penalized`` call enumerates every sign vector for
-    all its rows, also at a lambda = 0 slice, with the same ``best``.
+    The least kept objective wins by strict <, from phi = 0 at objective
+    0, in support and sign order, which decides the coefficients and
+    ||phi||_1 kept (``phi``, or ``penalized``); without ``phi``, ``norm``
+    adds the winner's sigma_j x_j = |x_j| > 0 in coordinate order, bitwise
+    ``np.abs(phi).sum(axis=0)``. ``best`` alone is the least kept
+    objective in any order: equal values have equal bits, no objective is
+    -0.0 (0.0 - y is +0.0 at y = +-0), and a NaN objective (x_0 b_0 =
+    +inf, x_1 b_1 = -inf) never wins. ``penalized=False`` states that
+    every entry of ``thr`` is 0 (the paper's default lambda = 0): each
+    support solves G_AA x = corr_A once, as only sigma = sign(x) can pass,
+    kept when every pivot is > 0 and every |x_j| > 0 (G_aa > 0 alone at
+    k = 1: x = 0 has objective 0, which never wins). A ``penalized`` call
+    enumerates every sign vector for all its rows, also at a lambda = 0
+    slice, with the same ``best``.
 
     Every step is elementwise in a fixed order, so each row is bitwise the
     row solved alone; at p = 1 this is soft(corr, thr) / G.
@@ -123,9 +123,6 @@ def _lasso_solve(
     def keep(obj, ok, size, A, x):
         # candidate i on A: objective obj[i], kept where ok[i], ||x||_1 size[i], x_j = x(i, j)
         for i in range(len(obj)):
-            if norm is None and phi is None:
-                np.fmin(best, obj[i], out=best, where=ok[i])
-                continue
             better = ok[i] & (obj[i] < best)
             np.copyto(best, obj[i], where=better)
             if norm is not None:
@@ -144,8 +141,9 @@ def _lasso_solve(
             obj = np.subtract(0.0, np.multiply(size, u, out=u), out=u)
             keep(obj[None], ok[None], size[None], (a,), lambda i, j: np.copysign(size, c))
         for k in range(2, p + 1):
-            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
-            signs = signs.reshape(signs.shape + (1,) * len(shape))
+            if penalized:
+                signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+                signs = signs.reshape(signs.shape + (1,) * len(shape))
             for A in itertools.combinations(range(p), k):
                 d, low = [], {}
                 for j in range(k):
@@ -280,12 +278,10 @@ class IntervalLossEngine:
             # rev[..., i] is the threshold at n_eff = n - i, and 0 from i = n on
             rev = np.zeros((len(lam), L, 2 * n + 1))
             rev[..., :n] = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
-            # [lam, j, ell, c] is the threshold (then 2 thr, thr > 0) of start
-            # c + 1 at end j + p, n_eff = j - c, read through views built here
-            self._thr, self._thr2, self._pos = (
-                sliding_window_view(r, n + 1, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
-                for r in (rev, 2.0 * rev, rev > 0.0)
-            )
+            # [lam, j, ell, c] is the threshold of start c + 1 at end j + p,
+            # n_eff = j - c, read through one view built here (_solve)
+            windows = sliding_window_view(rev, n + 1, axis=-1)[:, :, ::-1]
+            self._thr = windows.transpose(0, 2, 1, 3)
         else:
             self._thr = np.zeros((1, 1, 1, 1))
         self._c_idx, self._g_idx = _moment_indices(config.p)
@@ -398,18 +394,17 @@ class IntervalLossEngine:
         """
         n_ends, _, _, n_starts = moments.shape
         p = self.config.p
-        rows = (lams, slice(e0 - p, e0 - p + n_ends), slice(None), slice(s0 - 1, s0 - 1 + n_starts))
-        thr = self._thr[rows] if self._penalized else self._thr
+        thr = self._thr
+        if self._penalized:
+            thr = thr[lams, e0 - p : e0 - p + n_ends, :, s0 - 1 : s0 - 1 + n_starts]
         syy = moments[:, 0]
         corr = [moments[:, c] for c in self._c_idx]
         gram = [[moments[:, g] for g in row] for row in self._g_idx]
         best, norm = _lasso_solve(gram, corr, thr, penalized=self._penalized, phi=phi)
         rss = np.add(syy, best, out=best)
         if self._penalized:
-            # rss -= 2 thr norm only where thr > 0
-            pos = self._pos[rows]
-            np.multiply(self._thr2[rows], norm, out=norm, where=pos)
-            np.subtract(rss, norm, out=rss, where=pos)
+            with np.errstate(invalid="ignore"):  # 0 inf at thr = 0, not taken
+                np.subtract(rss, 2.0 * thr * norm, out=rss, where=thr > 0.0)
         np.maximum(rss, 0.0, out=rss)
         return rss, rss.sum(axis=2)
 
