@@ -5,11 +5,16 @@ t = s+p..e and all (ell, m), at the per-multipole L1-penalized fit. The
 penalty appears only inside the inner minimization: the reported loss is
 the unpenalized residual sum at the penalized estimate.
 
-All interval computations reduce to per-timestamp cross products summed
-over m, so a fit touches exactly the data inside its interval. The
-dynamic program walks the segment ends forward and keeps the moments of
-every start: each new end adds its product row to all of them with one
-add (``IntervalLossEngine.fit_blocks``). The rows of a block of
+All interval computations reduce to per-timestamp lag products
+u_d(t) = sum_m a(t, m) a(t-d, m), d = 0..p, so a fit touches exactly the
+data inside its interval. An interval's syy and correlations are lag
+sums over its times, and its Gram entry G_jk is lag k-j summed over its
+times shifted back j steps (the covariance method of linear prediction),
+so p+1 running sums hold every moment. The dynamic program walks the
+segment ends forward and keeps, per end, the lag sums of every first
+time: each new end adds its p+1 lag products to all of them with one add
+(``IntervalLossEngine.fit_blocks``), and a moment is read by time offset
+from the sums of the end j steps back. The rows of a block of
 consecutive ends, as many as their solver rows allow (``blocks``), are
 fitted by one exact LASSO solve at every penalty lambda of the engine, so
 a tuning sweep pays for the moments once whatever the number of lambdas,
@@ -34,9 +39,21 @@ from spharcp.errors import DegenerateFitError
 from spharcp.types import ArCoefficients, CoefficientSeries, DetectorConfig
 
 
-def _pair_indices(p: int) -> list[tuple[int, int]]:
-    """Lag pairs (j, k), 0 <= j <= k <= p, ordering the product columns."""
-    return [(j, k) for j in range(p + 1) for k in range(j, p + 1)]
+def _lag_products(series: CoefficientSeries, p: int, L: int) -> np.ndarray:
+    """Lag products u_d(t) = sum_m a(t, m) a(t-d, m), d = 0..p, per multipole.
+
+    Returns shape ``(n, p + 1, L)``: row t-1, column d is u_d(t), defined
+    for t >= d+1 and NaN before. u_d(t) is the einsum of the same rows, in
+    the same order, as the lag pair (j, j+d) at time t+j, so every pair's
+    product is some u_d read j rows back, bit for bit.
+    """
+    n = series.n
+    lag = np.full((n, p + 1, L), np.nan)
+    for ell in range(L):
+        block = series.multipole_block(ell)
+        for d in range(min(p + 1, n)):
+            lag[d:, d, ell] = np.einsum("ij,ij->i", block[d:], block[: n - d])
+    return lag
 
 
 def per_time_products(series: CoefficientSeries, p: int, L: int | None = None) -> np.ndarray:
@@ -45,31 +62,20 @@ def per_time_products(series: CoefficientSeries, p: int, L: int | None = None) -
     Covers multipoles ``0..L-1`` (all of the series' by default). Returns
     shape ``(n, L, n_pairs)``; row t-1 is defined for t >= p+1 and
     poisoned with NaN before that, so a mis-sliced interval fails loudly.
+    Pair (j, k) at time t is the lag product u_{k-j}(t-j) (``_lag_products``).
     An interval's Gram system is the sum of these rows over t = s+p..e,
     which involves the data in [s, e] only.
     """
     n = series.n
     L = series.L if L is None else L
-    pairs = _pair_indices(p)
+    lag = _lag_products(series, p, L)
+    # the lag pairs (j, k), 0 <= j <= k <= p, in column order
+    pairs = [(j, k) for j in range(p + 1) for k in range(j, p + 1)]
     prod = np.full((n, L, len(pairs)), np.nan)
-    for ell in range(L):
-        block = series.multipole_block(ell)
-        for idx, (j, k) in enumerate(pairs):
-            lead = block[p - j : n - j]
-            lag = block[p - k : n - k]
-            prod[p:, ell, idx] = np.einsum("ij,ij->i", lead, lag)
+    rows = max(n - p, 0)
+    for idx, (j, k) in enumerate(pairs):
+        prod[p:, :, idx] = lag[p - j : p - j + rows, k - j]
     return prod
-
-
-def _moment_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product-column indices of the correlation vector and Gram matrix."""
-    pairs = _pair_indices(p)
-    c_idx = np.array([pairs.index((0, j)) for j in range(1, p + 1)])
-    g_idx = np.empty((p, p), dtype=int)
-    for j in range(1, p + 1):
-        for k in range(1, p + 1):
-            g_idx[j - 1, k - 1] = pairs.index((min(j, k), max(j, k)))
-    return c_idx, g_idx
 
 
 def _lasso_solve(
@@ -228,24 +234,27 @@ _BLOCK_ROWS = 16384
 class IntervalLossEngine:
     """Fits intervals of one series under one config, reusing shared products.
 
-    Construction precomputes the per-timestamp cross products once, laid
-    out (time, pair, multipole), and the penalty thresholds of every
+    Construction precomputes the p+1 lag products of every timestamp once,
+    laid out (time, lag, multipole), and the penalty thresholds of every
     interval length, at every penalty in ``lams`` (each a scalar or
     per-multipole ``lam`` of the config; by default the config's own), so
     the products and moments serve them all. ``fit_blocks`` walks the
-    segment ends forward, keeping the running moments of every start, and
-    fits every interval of a block of ends (``blocks``) at every lambda
-    with one exact LASSO solve, which keeps the losses and no
+    segment ends forward, keeping the running lag sums of every first
+    time, and fits every interval of a block of ends (``blocks``) at every
+    lambda with one exact LASSO solve, which keeps the losses and no
     coefficients; ``fit(s, e, lam_index)`` fits one interval at one
-    lambda, coefficients included, from the same forward sum. Instances
+    lambda, coefficients included, from the same forward sums. Instances
     are immutable after construction and safe to share across threads.
 
     Construction raises ``DegenerateFitError``, naming the first multipole
-    at fault, when a product, or 4 times the sum over t and the multipoles
-    so far of the products' absolute values, overflows: the fits could be
-    NaN, or a loss clamped to 0. Products that underflow are exact zeros,
-    as in a zero series; at scale 1e-170 every loss is 0 and ``detect``
-    returns the single segment. That case is not an error.
+    at fault, when a lag pair's product, or 4 times the sum over t and the
+    multipoles so far of its absolute values, overflows: the fits could
+    be NaN, or a loss clamped to 0. Products that underflow are exact
+    zeros, as in a zero series; at scale 1e-170 every loss is 0 and
+    ``detect`` returns the single segment. That case is not an error.
+    ``fit`` raises it, naming the interval and the multipole, when a
+    coefficient or residual sum comes out non-finite (a Gram that
+    underflows to near zero beside a large correlation).
     """
 
     def __init__(
@@ -269,9 +278,9 @@ class IntervalLossEngine:
         self._penalized = bool(lam.any())
         # solver rows of one interval at one lambda (_BLOCK_ROWS)
         self._interval_rows = L << (p if self._penalized else 1)
-        prod = per_time_products(series, p, L)
-        # row t - 1 is time t's products as a (pairs, L, 1) column of moments
-        self._prod = prod.transpose(0, 2, 1)[..., None].copy()
+        lag = _lag_products(series, p, L)
+        # row t - 1 is time t's lag products as a (lags, L, 1) column of sums
+        self._lag = lag[..., None]
         if self._penalized:
             widths = 2.0 * np.arange(L) + 1.0
             n_eff = np.arange(n, 0, -1)
@@ -287,17 +296,21 @@ class IntervalLossEngine:
             )
         else:
             self._thr = np.zeros((1, 1, 1, 1))
-        self._c_idx, self._g_idx = _moment_indices(config.p)
         # Every interval's moments, and a partition's loss summed over
         # multipoles, are bounded by the running total over multipoles of
-        # the sums over t of the products' absolute values. The rss is
+        # the sums over t of the lag pairs' absolute products. The rss is
         # syy + best - 2 thr ||phi||_1 >= 0, and the fit's objective best is
         # at most 0's, so |best| <= syy and 2 thr ||phi||_1 <= syy: each
         # term, and each partial sum, stays within 2 syy, and the fits stay
-        # finite while 4 times that total does.
+        # finite while 4 times that total does. Pair (j, k) sums
+        # |u_{k-j}(t - j)| forward over t = p+1..n: shift j's rows, summed
+        # over every lag at once so that numpy adds them row by row.
+        rows = max(n - p, 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = 4.0 * np.abs(prod[p:]).sum(axis=0).cumsum(axis=0)
-        bad = np.flatnonzero(~np.isfinite(total).all(axis=-1))
+            size = np.abs(lag)
+            sums = [size[p - j : p - j + rows].sum(axis=0)[: p - j + 1] for j in range(p + 1)]
+            total = 4.0 * np.concatenate(sums).cumsum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(total).all(axis=0))
         if bad.size:
             raise DegenerateFitError(
                 f"cross products overflow at multipole {int(bad[0])}: "
@@ -340,69 +353,87 @@ class IntervalLossEngine:
         fitted from zero moments. The solve keeps each fit's objective and
         ||phi||_1, not its coefficients; ``fit`` gives those.
 
-        The moments of [s, e] are the products at t = s+p..e summed forward.
-        Each end adds its product row to the moments of every start up to
-        e - p at the end before it, with one ``np.add`` into its own row of
-        the block. Its new start e - p reads -0.0 there, as the block's
-        columns e0-p..e1-p hold -0.0 until a row writes them, and -0.0 + x
-        is x bit for bit: every sum is the forward ``np.cumsum`` that ``fit``
-        takes. So each fit reads only the data in [s, e], in one fixed
-        order, and is bitwise the same whichever block, and whichever other
-        lambdas, compute it.
+        The running sums of end e hold, in column c, the lag products at
+        t = c+1..e summed forward: each end adds its p+1 lag products to
+        every column below e of the end before it, with one ``np.add`` into
+        its own row of the block, and a block also holds the p ends before
+        its first. The moments of [s, e] are views: syy and corr at column
+        s+p-1 of end e, and G_jk at column s+p-j-1 of end e-j, each the
+        sum over t = s+p..e of its lag pair's products in time order. A
+        column of end e from e on reads -0.0, as the block holds -0.0
+        there until a row writes it, and -0.0 + x is x bit for bit: every
+        sum is the forward ``np.cumsum`` that ``fit`` takes, and an empty
+        one is -0.0, so the starts past e - p read zero moments. So each
+        fit reads only the data in [s, e], in one fixed order, and is
+        bitwise the same whichever block, and whichever other lambdas,
+        compute it.
         """
         p = self.config.p
         if m0 < p:
             raise ValueError(f"interval [1, {m0 + 1}] too short to fit AR({p})")
-        prod = self._prod
-        # the moments of the starts 1..m0-p at end m0, then a -0.0 column
-        run = np.full(prod.shape[1:3] + (m0 - p + 1,), -0.0)
-        for e in range(p + 1, m0 + 1):
-            np.add(run[..., : e - p], prod[e - 1], out=run[..., : e - p])
+        lag = self._lag
+        # the running sums of the p ends m0-p+1..m0 before the first block
+        run = np.full(lag.shape[1:3] + (m0 + 1,), -0.0)
+        tail = np.empty((p,) + run.shape)
+        for e in range(1, m0 + 1):
+            np.add(run[..., :e], lag[e - 1], out=run[..., :e])
+            if e > m0 - p:
+                tail[e - m0 + p - 1] = run
         for e0, e1 in self.blocks(m0):
-            moments = np.empty((e1 - e0 + 1,) + run.shape[:2] + (e1 - p + 1,))
-            moments[..., e0 - p :] = -0.0
-            for b, e in enumerate(range(e0, e1 + 1)):
-                np.add(run[..., : e - p], prod[e - 1], out=moments[b, ..., : e - p])
-                run = moments[b]
-            rss, loss = self._solve(moments[..., : e1 - m0 + 1], e0, 1)
+            # row i holds end e0 - p + i, and column c its sums from t = c + 1
+            sums = np.empty((e1 - e0 + 1 + p,) + run.shape[:2] + (e1 + 1,))
+            sums[..., e0:] = -0.0
+            sums[:p, ..., :e0] = tail
+            for i, e in enumerate(range(e0, e1 + 1), p):
+                np.add(sums[i - 1, ..., :e], lag[e - 1], out=sums[i, ..., :e])
+            rss, loss = self._solve(sums[..., : e1 - m0 + 1 + p], e0, 1)
             for b in range(e1 - e0 + 1):
                 loss[:, b, e0 + b - m0 :] = math.inf
+            tail = sums[e1 - e0 + 1 :]
             yield e0, e1, rss, loss
 
     def _solve(
         self,
-        moments: np.ndarray,
+        sums: np.ndarray,
         e0: int,
         s0: int,
         phi: np.ndarray | None = None,
         lams: slice = slice(None),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fits of [s0 + c, e0 + b] from ``moments[b, :, :, c]`` (B, pairs, L, S).
+        """Fits of [s0 + c, e0 + b], c < S, b < B, from running lag sums.
 
-        Solves at the penalties ``self.lams[lams]``, Λ of them (by default
-        all; one slice, Λ = 1, when every lambda of the engine is 0).
-        Returns ``rss`` (Λ, B, L, S) and the loss (Λ, B, S), and writes the
-        coefficients into ``phi``, a zeroed (p, Λ, B, L, S) array, when one
-        is given (``_lasso_solve``). Each penalty's rows are solved
-        elementwise, so they keep their bits whichever other penalties
-        share the call. The kept candidate solves G_AA x = corr_A - thr
-        sigma, so phi'G phi = corr'phi - thr ||phi||_1: the rss
-        syy - 2 corr'phi + phi'G phi, clamped at 0, is syy + best - 2 thr
-        norm from the solve's ``best`` and ``norm`` = ||phi||_1, with no
-        last term where thr = 0 (0 inf, at a norm that overflows, is NaN):
-        a lambda = 0 row of a mixed grid has a lambda = 0 engine's bits.
-        With S >= 2 the starts stay numpy's inner loop, so the loss adds the
-        multipoles in order, 0 to L-1, whatever B (one start alone would
-        take numpy's pairwise sum).
+        ``sums`` (B + p, p + 1, L, S + p) holds in ``sums[p + b - j, d, :,
+        p - j + c]`` lag d summed over the times of [s0 + c, e0 + b]
+        shifted back j steps, for j = 0..p and d = 0..p - j
+        (``fit_blocks``): syy and corr are read at j = 0, and G_jk at
+        shift j, lag k - j, all as views. Solves at the penalties
+        ``self.lams[lams]``, Λ of them (by default all; one slice, Λ = 1,
+        when every lambda of the engine is 0). Returns ``rss`` (Λ, B, L,
+        S) and the loss (Λ, B, S), and writes the coefficients into
+        ``phi``, a zeroed (p, Λ, B, L, S) array, when one is given
+        (``_lasso_solve``). Each penalty's rows are solved elementwise, so
+        they keep their bits whichever other penalties share the call. The
+        kept candidate solves G_AA x = corr_A - thr sigma, so phi'G phi =
+        corr'phi - thr ||phi||_1: the rss syy - 2 corr'phi + phi'G phi,
+        clamped at 0, is syy + best - 2 thr norm from the solve's ``best``
+        and ``norm`` = ||phi||_1, with no last term where thr = 0 (0 inf,
+        at a norm that overflows, is NaN): a lambda = 0 row of a mixed
+        grid has a lambda = 0 engine's bits. With S >= 2 the starts stay
+        numpy's inner loop, so the loss adds the multipoles in order, 0 to
+        L-1, whatever B (one start alone would take numpy's pairwise sum).
         """
-        n_ends, _, _, n_starts = moments.shape
         p = self.config.p
+        n_ends, n_starts = sums.shape[0] - p, sums.shape[3] - p
+
+        def moment(j, d):
+            return sums[p - j : p - j + n_ends, d, :, p - j : p - j + n_starts]
+
         ends, starts = slice(e0 - p, e0 - p + n_ends), slice(s0 - 1, s0 - 1 + n_starts)
         rows = (lams, ends, slice(None), starts)
         thr = self._thr[rows] if self._penalized else self._thr
-        syy = moments[:, 0]
-        corr = [moments[:, c] for c in self._c_idx]
-        gram = [[moments[:, g] for g in row] for row in self._g_idx]
+        syy = moment(0, 0)
+        corr = [moment(0, j) for j in range(1, p + 1)]
+        gram = [[moment(min(j, k), abs(k - j)) for k in range(1, p + 1)] for j in range(1, p + 1)]
         best, norm = _lasso_solve(gram, corr, thr, penalized=self._penalized, phi=phi)
         rss = np.add(syy, best, out=best)
         if self._penalized:
@@ -414,25 +445,39 @@ class IntervalLossEngine:
         return rss, rss.sum(axis=2)
 
     def fit(self, s: int, e: int, lam_index: int = 0) -> IntervalFit:
-        """Fit of [s, e] at the penalty ``lams[lam_index]``, solved at that one only."""
-        p, n = self.config.p, self.series.n
+        """Fit of [s, e] at the penalty ``lams[lam_index]``, solved at that one only.
+
+        Raises ``DegenerateFitError``, naming the interval and the first
+        multipole at fault, when a coefficient or residual sum is not finite.
+        """
+        p, n, L = self.config.p, self.series.n, self.config.L
         if not 1 <= s <= e <= n:
             raise ValueError(f"interval [{s}, {e}] outside 1..{n}")
         if e - s < p:
             raise ValueError(f"interval [{s}, {e}] too short to fit AR({p})")
         lam = range(len(self.lams))[lam_index]  # counts from the end if < 0
-        # start s as fit_blocks sums it, then a start of zero moments (_solve)
-        moments = np.full((1,) + self._prod.shape[1:3] + (2,), -0.0)
-        moments[0, ..., :1] = np.cumsum(self._prod[s + p - 1 : e], axis=0)[-1]
-        phi = np.zeros((p, 1, 1, self.config.L, 2))
-        rss, loss = self._solve(moments, e, s, phi, slice(lam, lam + 1))
-        return IntervalFit(
+        # shift j's lag sums as fit_blocks sums them at end e - j, laid out as
+        # _solve reads them, then a start of zero moments
+        sums = np.full((p + 1, p + 1, L, p + 2), -0.0)
+        for j in range(p + 1):
+            shifted = self._lag[s + p - j - 1 : e - j, : p - j + 1, :, 0]
+            sums[p - j, : p - j + 1, :, p - j] = np.cumsum(shifted, axis=0)[-1]
+        phi = np.zeros((p, 1, 1, L, 2))
+        rss, loss = self._solve(sums, e, s, phi, slice(lam, lam + 1))
+        fit = IntervalFit(
             interval=(s, e),
             phi=phi[:, 0, 0, :, 0].T,
             rss=rss[0, 0, :, 0],
             loss=float(loss[0, 0, 0]),
             n_eff=e - s - p + 1,
         )
+        bad = np.flatnonzero(~(np.isfinite(fit.phi).all(axis=1) & np.isfinite(fit.rss)))
+        if bad.size:
+            raise DegenerateFitError(
+                f"fit of [{s}, {e}] is not finite at multipole {int(bad[0])}: "
+                "its lag Gram is too close to singular; rescale the series"
+            )
+        return fit
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ every segment at least ``delta`` timestamps long, via the Bellman
 recursion B(e) = min_s B(s-1) + loss([s, e]) + gamma with B(0) = 0.
 
 The recursion walks the segment ends forward, a block of ends at a time
-(``IntervalLossEngine.fit_blocks``): the engine keeps the running moments
-of every start, fits every interval that ends in the block, and hands
-the losses over laid out by start, as the Bellman step reads them. The
-recursion's fits keep each objective and ||phi||_1, no coefficients;
+(``IntervalLossEngine.fit_blocks``): the engine keeps the running lag
+sums that hold every start's moments, fits every interval that ends in
+the block, and hands the losses over laid out by start, as the Bellman
+step reads them. The recursion's fits keep each objective and ||phi||_1, no coefficients;
 only the final fits of the detected segments, read off the back
 pointers, write them. A block is sized by the interval rows its ends'
 starts hold, so the early ends, with few starts, share a block. One
@@ -91,7 +91,9 @@ def detect(series: CoefficientSeries, config: DetectorConfig) -> DetectionResult
     -------
     DetectionResult
         The single segment, with a warning, when n < 2 delta. A series of
-        n <= p timestamps cannot be fitted and raises ``ValueError``.
+        n <= p timestamps cannot be fitted and raises ``ValueError``; a
+        detected segment whose fit is not finite raises
+        ``DegenerateFitError`` (``IntervalLossEngine.fit``).
     """
     return detect_grid(series, config, (config.lam,), (config.gamma,))[0]
 

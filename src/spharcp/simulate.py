@@ -202,10 +202,14 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
     terms one at a time in lag order, then the segment's per-slot
     ``intercept`` when it has one (a segment without one is centered),
     then the innovation. The path overwrites the scaled innovations row
-    by row: a step reads lag j from the path row j steps back (a zero row
-    before the start and after a restart) and sums the terms in one
-    scratch row. No BLAS call is made, so the output bits do not depend
-    on the BLAS build, and a fixed spec always gives the same series.
+    by row. A segment's block is stepped over one list of row views: p
+    zero rows before a fresh start (the first segment, and every segment
+    after a restart), else the previous block's last p rows, then the
+    block's own, so a step reads lag j at the row offset j back. The
+    segment's per-lag coefficient rows are taken once per segment, and
+    the terms are summed in one scratch row. No BLAS call is made, so the
+    output bits do not depend on the BLAS build, and a fixed spec always
+    gives the same series.
     """
     restart = spec.junction == "restart"
     total = spec.n + spec.burn_in * (len(spec.segments) if restart else 1)
@@ -232,22 +236,24 @@ def simulate(spec: ScenarioSpec) -> CoefficientSeries:
         # segment k's block: the burn-in from zero lags, when it starts afresh,
         # then its own e - s + 1 rows
         fresh = k == 0 or restart
-        if fresh:
-            lag = [zero] * spec.p  # lag[j - 1] = the path row j steps back
-        phi = np.repeat(segment.coeffs.phi.T, widths, axis=1)  # phi[j-1] = lag-j weight per slot
+        # phi[j - 1] = the lag-j weight per slot
+        phi = list(np.repeat(segment.coeffs.phi.T, widths, axis=1))
         mu = segment.intercept  # per slot, or None
         block = noise[pos : pos + spec.burn_in * fresh + e - s + 1]
+        # the rows the recursion reads: p zero rows before a fresh start, else
+        # the previous block's last p rows, then the block's own
+        rows = [zero] * spec.p if fresh else list(noise[pos - spec.p : pos])
+        rows += list(block)
         pos += len(block)
         # the innovations, overwritten row by row by the path
         block *= np.repeat(np.sqrt(segment.noise_spectrum), widths)
-        for z in block:
-            np.multiply(phi[0], lag[0], out=acc)
+        for i in range(spec.p, len(rows)):
+            np.multiply(phi[0], rows[i - 1], out=acc)
             for j in range(1, spec.p):
-                acc += np.multiply(phi[j], lag[j], out=term)
+                acc += np.multiply(phi[j], rows[i - 1 - j], out=term)
             if mu is not None:
                 acc += mu
-            z += acc
-            lag = [z, *lag[:-1]]
+            rows[i] += acc
         emitted.append(block[-(e - s + 1) :])
 
     return CoefficientSeries(n=spec.n, L=spec.L, data=np.concatenate(emitted))

@@ -309,11 +309,14 @@ def test_detect_on_simulated_benchmark_scenario(tmp_path):
 
 def test_detect_series_no_longer_than_p_exits_2(tmp_path, capsys):
     coeffs = tmp_path / "short.csv"
-    write_coefficients(coeffs, CoefficientSeries(n=2, L=1, data=np.ones((2, 1))))
     result_path = tmp_path / "result.json"
-    assert main(["detect", "--in", str(coeffs), "--out", str(result_path), "--p", "2"]) == 2
-    assert "too short to fit AR(2)" in capsys.readouterr().err
-    assert not result_path.exists()
+    # n = p, and n < p, whose lags reach before the series
+    for n, p in ((2, 2), (4, 5)):
+        write_coefficients(coeffs, CoefficientSeries(n=n, L=1, data=np.ones((n, 1))))
+        args = ["--p", str(p), "--delta", str(p + 1)]
+        assert main(["detect", "--in", str(coeffs), "--out", str(result_path), *args]) == 2
+        assert f"too short to fit AR({p})" in capsys.readouterr().err
+        assert not result_path.exists()
 
 
 def test_detect_overflowing_series_exits_4_without_a_result(tmp_path, capsys):
@@ -328,6 +331,21 @@ def test_detect_overflowing_series_exits_4_without_a_result(tmp_path, capsys):
     code = main(["detect", "--in", str(coeffs), "--out", str(result_path), "--gamma", "300"])
     assert code == 4
     assert "overflow at multipole 0" in capsys.readouterr().err
+    assert not result_path.exists()
+
+
+def test_detect_non_finite_final_fit_exits_4_without_a_result(tmp_path, capsys):
+    # the Gram of [1, 11] underflows beside the spike at t = 11, so its
+    # coefficient would be inf: no result with Infinity in phi or the jumps
+    data = np.full((30, 1), 1e-160)
+    data[10] = 1e150
+    coeffs = tmp_path / "spike.csv"
+    write_coefficients(coeffs, CoefficientSeries(n=30, L=1, data=data))
+    result_path = tmp_path / "spike.result.json"
+    args = ["--gamma", "1", "--delta", "3"]
+    code = main(["detect", "--in", str(coeffs), "--out", str(result_path), *args])
+    assert code == 4
+    assert "fit of [1, 11] is not finite at multipole 0" in capsys.readouterr().err
     assert not result_path.exists()
 
 

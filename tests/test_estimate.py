@@ -11,6 +11,7 @@ from spharcp.errors import DegenerateFitError
 from spharcp.estimate import (
     _BLOCK_ROWS,
     IntervalLossEngine,
+    _lag_products,
     _lasso_solve,
     fit_segment_with_intercept,
     mean_surface,
@@ -481,10 +482,13 @@ class TestIntervalLoss:
         series = random_series(n=40, L=3, seed=21 + p)
         engine = IntervalLossEngine(series, self.config(L=3, p=p), (0.0, 0.5, 1.0))
         for s, e in ((1, 40), (4, 25), (17, 17 + p), (30, 40)):
-            moments = np.full((1,) + engine._prod.shape[1:3] + (2,), -0.0)
-            moments[0, ..., :1] = np.cumsum(engine._prod[s + p - 1 : e], axis=0)[-1]
+            # shift j's lag sums at column p - j of row p - j, then a zero start
+            sums = np.full((p + 1, p + 1, 3, p + 2), -0.0)
+            for j in range(p + 1):
+                shifted = engine._lag[s + p - j - 1 : e - j, : p - j + 1, :, 0]
+                sums[p - j, : p - j + 1, :, p - j] = np.cumsum(shifted, axis=0)[-1]
             phi = np.zeros((p, 3, 1, 3, 2))
-            rss, loss = engine._solve(moments, e, s, phi)
+            rss, loss = engine._solve(sums, e, s, phi)
             for i in range(3):
                 for fit in (engine.fit(s, e, i), engine.fit(s, e, i - 3)):
                     assert same_bits(fit.phi, phi[:, i, 0, :, 0].T)
@@ -518,6 +522,30 @@ class TestIntervalLoss:
         with pytest.raises(DegenerateFitError, match="overflow at multipole 1"):
             IntervalLossEngine(huge, self.config(L=2))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_overflow_check_reads_the_pair_products_totals(self, p):
+        # near the boundary, a series is refused exactly when 4 times some lag
+        # pair's total over t and the multipoles so far of its |products| is
+        # not finite, at the first multipole where one is not
+        rng = np.random.default_rng(30 + p)
+        refused = 0
+        for trial in range(150):
+            L = 1 + trial % 3
+            n = int(rng.integers(p + 2, 30))
+            data = rng.standard_normal((n, L * L))
+            data *= np.sqrt(1.79e308 / (4 * n * L * L)) / np.abs(data).max()
+            series = CoefficientSeries(n=n, L=L, data=data * rng.uniform(0.8, 3.0))
+            with np.errstate(over="ignore"):
+                total = 4.0 * np.abs(per_time_products(series, p)[p:]).sum(axis=0).cumsum(axis=0)
+            bad = np.flatnonzero(~np.isfinite(total).all(axis=-1))
+            if bad.size:
+                refused += 1
+                with pytest.raises(DegenerateFitError, match=f"overflow at multipole {bad[0]}:"):
+                    IntervalLossEngine(series, self.config(L=L, p=p))
+            else:
+                IntervalLossEngine(series, self.config(L=L, p=p))
+        assert 0 < refused < 150
+
     def test_overflowing_rss_terms_fail_loudly(self):
         # syy of 1.2e308 is finite but 4 syy is not: the engine refuses the
         # series rather than rely on the rss terms syy + best and
@@ -532,6 +560,28 @@ class TestIntervalLoss:
         tiny = CoefficientSeries(n=30, L=2, data=random_series(n=30, L=2, seed=7).data * 1e-170)
         fit = IntervalLossEngine(tiny, self.config(L=2, p=2)).fit(1, 30)
         assert fit.loss == 0.0 and np.array_equal(fit.phi, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_pair_products_are_lag_products_read_by_row_offset(self, p):
+        # pair (j, k) at row t is the lag product k - j at row t - j, and both
+        # are bitwise the einsum of the rows t - j and t - k
+        n, L = 3 * p + 4, 3
+        base = random_series(n=n, L=L, seed=40 + p).data
+        subnormal = np.where(np.arange(n)[:, None] % 3 == 0, 0.0, base * 1e-160)
+        for data in (base, np.zeros_like(base), subnormal, base * 1e150, base * 1e160):
+            series = CoefficientSeries(n=n, L=L, data=data)
+            with np.errstate(over="ignore"):
+                prod = per_time_products(series, p)
+                lag = _lag_products(series, p, L)
+            pairs = [(j, k) for j in range(p + 1) for k in range(j, p + 1)]
+            for (idx, (j, k)), ell in itertools.product(enumerate(pairs), range(L)):
+                block = series.multipole_block(ell)
+                with np.errstate(over="ignore"):
+                    want = np.einsum("ij,ij->i", block[p - j : n - j], block[p - k : n - k])
+                assert same_bits(prod[p:, ell, idx], want)
+                assert same_bits(lag[p - j : n - j, k - j, ell], want)
+            assert np.isnan(prod[:p]).all()
+        assert (subnormal != 0.0).any() and (np.abs(subnormal * subnormal) < 2.3e-308).all()
 
     def test_products_poisoned_before_lag_window(self):
         series = random_series(n=10, L=1, seed=6)

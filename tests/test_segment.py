@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spharcp import estimate
-from spharcp.errors import ConfigError
+from spharcp.errors import ConfigError, DegenerateFitError
 from spharcp.estimate import IntervalLossEngine
 from spharcp.segment import detect, detect_grid, objective_of
 from spharcp.bench import make_scenario
@@ -21,7 +21,7 @@ from spharcp.types import (
     SegmentSpec,
 )
 
-from conftest import all_partitions, random_series, same_bits
+from conftest import all_partitions, ols_rss, random_series, same_bits
 from test_estimate import enumerated_lasso_solve
 
 
@@ -296,16 +296,22 @@ def test_zero_lambda_row_of_a_mixed_grid_adds_nothing_for_an_overflowing_norm():
     data[10] = 1e150
     series = CoefficientSeries(n=30, L=1, data=data)
     config = DetectorConfig(p=1, L=1, gamma=1.0, delta=3)
-    want = detect(series, config)
-    assert want.change_points == (12,) and want.objective == 2.0
-    got = detect_grid(series, config, (0.0, 1.0), (1.0,))
-    assert_same_result(got[0], want)
-    assert not np.isnan(got[1].dp.best_cost).any()
-    mixed = IntervalLossEngine(series, config, (0.0, 1.0)).fit(5, 11, 0)
-    alone = IntervalLossEngine(series, config).fit(5, 11)
-    assert np.isinf(alone.phi).all() and alone.loss == 0.0
-    assert same_bits(mixed.phi, alone.phi) and same_bits(mixed.rss, alone.rss)
-    assert same_bits(mixed.loss, alone.loss)
+    alone = IntervalLossEngine(series, config).fit_blocks(2)
+    mixed = IntervalLossEngine(series, config, (0.0, 1.0)).fit_blocks(2)
+    for (e0, _, want_rss, want), (f0, _, got_rss, got) in zip(alone, mixed, strict=True):
+        assert e0 == f0
+        assert same_bits(got_rss[:1], want_rss) and same_bits(got[:1], want)
+        assert not np.isnan(got).any()
+    # the recursion takes [1, 11] at loss 0, whose final fit's phi is inf:
+    # every row refuses it rather than report the coefficients
+    message = r"fit of \[1, 11\] is not finite at multipole 0"
+    with pytest.raises(DegenerateFitError, match=message):
+        detect(series, config)
+    with pytest.raises(DegenerateFitError, match=message):
+        detect_grid(series, config, (0.0, 1.0), (1.0,))
+    for lams in ((0.0,), (0.0, 1.0)):
+        with pytest.raises(DegenerateFitError, match=r"fit of \[5, 11\] is not finite"):
+            IntervalLossEngine(series, config, lams).fit(5, 11, 0)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -543,6 +549,32 @@ class TestDpTable:
         for e0, e1, _, losses in engine.fit_blocks(m0):
             for b, e in enumerate(range(e0, e1 + 1)):
                 assert (losses[0, b, e - m0 :] == math.inf).all()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_high_order_losses_match_fresh_fits(self, p, lam, monkeypatch):
+        # G_jk reads the running sums of the end j <= p steps back, which a
+        # block of fewer than p ends takes from the blocks before it
+        series = random_series(n=3 * p + 6, L=2, seed=74 + p)
+        config = DetectorConfig(p=p, L=2, lam=lam, delta=p + 1)
+        ref = IntervalLossEngine(series, config)
+        fresh = {
+            (s, e): ref.fit(s, e) for e in range(p + 1, series.n + 1) for s in range(1, e - p + 1)
+        }
+        for rows in (estimate._BLOCK_ROWS, 8):
+            monkeypatch.setattr(estimate, "_BLOCK_ROWS", rows)
+            engine = IntervalLossEngine(series, config)
+            sizes = [e1 - e0 + 1 for e0, e1 in engine.blocks(p)]
+            assert rows > 8 or max(sizes) < p
+            for e, (rss, losses) in fits_by_end(engine, p).items():
+                for s in range(1, e - p + 1):
+                    assert same_bits(losses[0, s - 1], fresh[s, e].loss)
+                    assert same_bits(rss[0, :, s - 1], fresh[s, e].rss)
+        if lam == 0.0:
+            # and the moments read at every shift against a dense least-squares oracle
+            for s, e in ((1, series.n), (3, series.n - 2)):
+                oracle = sum(ols_rss(series, s, e, ell, p) for ell in range(2))
+                assert fresh[s, e].loss == pytest.approx(oracle, rel=1e-9)
 
     def test_short_prefixes_stay_infeasible_in_every_row(self):
         # the Bellman step reads the starts 2..delta off these prefixes and
