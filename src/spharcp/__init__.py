@@ -2,14 +2,9 @@
 
 from spharcp.bench import make_scenario
 from spharcp.diagnostics import (
-    StabilityMeasures,
     TuningBounds,
     check_causality,
     coefficient_jump,
-    jump_size,
-    noise_ratio,
-    spectral_density,
-    stability_measures,
     theory_tuning_bounds,
 )
 from spharcp.errors import ConfigError, DegenerateFitError, ParseError
@@ -56,7 +51,6 @@ __all__ = [
     "ScenarioSpec",
     "SegmentFit",
     "SegmentSpec",
-    "StabilityMeasures",
     "TuningBounds",
     "aggregate",
     "assign_and_average",
@@ -68,15 +62,11 @@ __all__ = [
     "detect_grid",
     "fit_segment_with_intercept",
     "hausdorff_scaled",
-    "jump_size",
     "make_scenario",
     "mean_surface",
-    "noise_ratio",
     "objective_of",
     "simulate",
     "slot_index",
-    "spectral_density",
-    "stability_measures",
     "theory_tuning_bounds",
 ]
 

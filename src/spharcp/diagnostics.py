@@ -1,4 +1,4 @@
-"""Causality checks and spectral stability diagnostics for per-multipole AR models."""
+"""Causality checks, coefficient jumps and tuning-rule bounds for per-multipole AR models."""
 
 from __future__ import annotations
 
@@ -13,15 +13,6 @@ from spharcp.types import ArCoefficients, SegmentSpec
 EPS_ROOT = 1e-9
 
 DEFAULT_GRID = 4096
-
-
-def is_causal(phi: np.ndarray) -> bool:
-    """True iff all characteristic roots have modulus > 1 + EPS_ROOT.
-
-    Non-finite entries raise ValueError (from ``ArCoefficients``).
-    """
-    phi = np.asarray(phi, dtype=float)
-    return bool(check_causality(ArCoefficients(p=phi.size, phi=phi[None, :]))[0])
 
 
 def check_causality(coeffs: ArCoefficients) -> np.ndarray:
@@ -53,71 +44,6 @@ def _char_poly_sq_modulus(phi: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.abs(z) ** 2
 
 
-def spectral_density(
-    phi_ell: np.ndarray, c_noise: float, nu: float | np.ndarray
-) -> float | np.ndarray:
-    """AR spectral density c_noise / (2 pi |1 - sum_j phi_j e^{-i nu j}|^2).
-
-    Parameters
-    ----------
-    phi_ell : array of shape (p,)
-        Causal AR coefficient vector.
-    c_noise : float
-        Innovation variance, > 0.
-    nu : float or array
-        Frequencies in [-pi, pi].
-    """
-    if c_noise <= 0:
-        raise ValueError("c_noise must be > 0")
-    if not is_causal(phi_ell):
-        raise ValueError("phi is not causal; spectral density undefined on the unit circle")
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    dens = c_noise / (2.0 * np.pi * _char_poly_sq_modulus(phi_ell, nu_arr))
-    return float(dens[0]) if np.isscalar(nu) or np.ndim(nu) == 0 else dens
-
-
-@dataclass(frozen=True)
-class StabilityMeasures:
-    """Grid extrema of one multipole's spectral density.
-
-    ``mu_min``/``mu_max`` are the extrema of the squared characteristic
-    polynomial modulus over the frequency grid; ``M_f = c/(2 pi mu_min)``
-    and ``m_f = c/(2 pi mu_max)`` hold exactly at grid resolution.
-    """
-
-    M_f: float
-    m_f: float
-    mu_min: float
-    mu_max: float
-
-
-def stability_measures(
-    phi_ell: np.ndarray, c_noise: float, grid: int = DEFAULT_GRID
-) -> StabilityMeasures:
-    """Spectral density extrema of a causal AR model over a uniform frequency grid.
-
-    The grid spans [-pi, pi] with ``grid`` points (endpoints included).
-    This is an approximation of the exact unit-circle extrema, adequate
-    for diagnostics; pass an odd ``grid`` to place nu = 0 on the grid.
-    """
-    if grid < 64:
-        raise ValueError("grid must be >= 64")
-    if c_noise <= 0:
-        raise ValueError("c_noise must be > 0")
-    if not is_causal(phi_ell):
-        raise ValueError("phi is not causal")
-    nu = np.linspace(-np.pi, np.pi, grid)
-    a = _char_poly_sq_modulus(phi_ell, nu)
-    mu_min = float(a.min())
-    mu_max = float(a.max())
-    return StabilityMeasures(
-        M_f=c_noise / (2.0 * np.pi * mu_min),
-        m_f=c_noise / (2.0 * np.pi * mu_max),
-        mu_min=mu_min,
-        mu_max=mu_max,
-    )
-
-
 def coefficient_jump(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
     """sum_ell (2 ell + 1) ||phi_ell^a - phi_ell^b||_2^2 for (L, p) arrays."""
     phi_a = np.asarray(phi_a, dtype=float)
@@ -127,20 +53,6 @@ def coefficient_jump(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
     diff = phi_a - phi_b
     weights = 2 * np.arange(phi_a.shape[0]) + 1
     return float(weights @ (diff * diff).sum(axis=1))
-
-
-def jump_size(spec_a: SegmentSpec, spec_b: SegmentSpec) -> float:
-    """Multipole-weighted squared distance between two segments' AR parameters."""
-    return coefficient_jump(spec_a.coeffs.phi, spec_b.coeffs.phi)
-
-
-def noise_ratio(segments: list[SegmentSpec]) -> np.ndarray:
-    """Per-multipole ratio max_k C_{ell;Z} / min_k C_{ell;Z} across segments.
-
-    Reported for diagnostics only; nothing is enforced on it at finite L.
-    """
-    spectra = np.stack([s.noise_spectrum for s in segments])
-    return spectra.max(axis=0) / spectra.min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -178,9 +90,9 @@ def theory_tuning_bounds(
     lam_ell^2 / alpha_ell, with q_ell^(k) the number of non-zero lags,
     C_Phi the largest squared coefficient norm across segments and
     multipoles; kappa_L is the smallest jump size over consecutive
-    segment pairs. mu_max is taken over the ``DEFAULT_GRID``-point
-    frequency grid of ``stability_measures``, for all segments and
-    multipoles in one evaluation.
+    segment pairs. mu_max is the largest |1 - sum_j phi_j e^{-i nu j}|^2
+    over ``DEFAULT_GRID`` points spanning [-pi, pi] (endpoints included),
+    taken for all segments and multipoles in one evaluation.
     """
     if not segments:
         raise ValueError("need at least one segment")
@@ -207,5 +119,8 @@ def theory_tuning_bounds(
 
     kappa = None
     if len(segments) >= 2:
-        kappa = min(jump_size(a, b) for a, b in zip(segments, segments[1:]))
+        kappa = min(
+            coefficient_jump(a.coeffs.phi, b.coeffs.phi)
+            for a, b in zip(segments, segments[1:])
+        )
     return TuningBounds(alpha=alpha, C_L=c_l, kappa_L=kappa)

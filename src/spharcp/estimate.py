@@ -91,31 +91,31 @@ def _lasso_solve(
     0), of the broadcast shape, and ``norm``, the minimizer's ||phi||_1
     when ``penalized`` (None otherwise). The coefficients are written only
     when asked for, into ``phi``, a zeroed array of shape (p,) + the
-    broadcast shape, and ``norm`` is then read off them. Some minimizer
-    has a nonsingular active Gram block (Tibshirani 2013, "The lasso
-    problem and uniqueness"), so the minimum is among the candidates that
-    solve G_AA x = corr_A - thr sigma with sign(x) = sigma, over every
-    support A and sign vector sigma on A; such a candidate has objective
-    -x'(corr_A - thr sigma). G_AA is factored by a square-root-free LDL'
-    whose pivots must all be > 0. A one-coordinate support {a} tries
-    sigma = sign(corr_a) only, as thr >= 0, and takes sigma (corr_a -
-    thr sigma) as u = |corr_a| - thr, the same bits (negation is exact,
-    rounding sign-symmetric): kept where G_aa > 0 and |x| = u / G_aa > 0,
-    at objective 0 - |x| u; x = copysign(|x|, corr_a) only for ``phi``.
+    broadcast shape. Some minimizer has a nonsingular active Gram block
+    (Tibshirani 2013, "The lasso problem and uniqueness"), so the minimum
+    is among the candidates that solve G_AA x = corr_A - thr sigma with
+    sign(x) = sigma, over every support A and sign vector sigma on A; such
+    a candidate has objective -x'(corr_A - thr sigma). G_AA is factored by
+    a square-root-free LDL' whose pivots must all be > 0. A one-coordinate
+    support {a} tries sigma = sign(corr_a) only, as thr >= 0, and takes
+    sigma (corr_a - thr sigma) as u = |corr_a| - thr, the same bits
+    (negation is exact, rounding sign-symmetric): kept where G_aa > 0 and
+    |x| = u / G_aa > 0, at objective 0 - |x| u; x = copysign(|x|, corr_a)
+    only for ``phi``.
 
     The least kept objective wins by strict <, from phi = 0 at objective
     0, in support and sign order, which decides the coefficients and
-    ||phi||_1 kept (``phi``, or ``penalized``); without ``phi``, ``norm``
-    adds the winner's sigma_j x_j = |x_j| > 0 in coordinate order, bitwise
-    ``np.abs(phi).sum(axis=0)``. ``best`` alone is the least kept
-    objective in any order: equal values have equal bits, no objective is
-    -0.0 (0.0 - y is +0.0 at y = +-0), and a NaN objective (x_0 b_0 =
-    +inf, x_1 b_1 = -inf) never wins. ``penalized=False`` states that
-    every entry of ``thr`` is 0 (the paper's default lambda = 0): each
-    support solves G_AA x = corr_A once, as only sigma = sign(x) can pass,
-    kept when every pivot is > 0 and every |x_j| > 0 (G_aa > 0 alone at
-    k = 1: x = 0 has objective 0, which never wins). A ``penalized`` call
-    tries every sign vector in all its rows, also at a lambda = 0 slice.
+    ||phi||_1 kept (``phi``, or ``penalized``); ``norm`` adds the winner's
+    sigma_j x_j = |x_j| > 0 in coordinate order. ``best`` alone is the
+    least kept objective in any order: equal values have equal bits, no
+    objective is -0.0 (0.0 - y is +0.0 at y = +-0), and a NaN objective
+    (x_0 b_0 = +inf, x_1 b_1 = -inf) never wins. ``penalized=False``
+    states that every entry of ``thr`` is 0 (the paper's default lambda =
+    0): each support solves G_AA x = corr_A once, as only sigma = sign(x)
+    can pass, kept when every pivot is > 0 and every |x_j| > 0 (G_aa > 0
+    alone at k = 1: x = 0 has objective 0, which never wins). A
+    ``penalized`` call tries every sign vector in all its rows, also at a
+    lambda = 0 slice.
 
     Every step is elementwise in a fixed order, so each row is bitwise the
     row solved alone; at p = 1 this is soft(corr, thr) / G.
@@ -123,7 +123,7 @@ def _lasso_solve(
     p = len(corr)
     shape = np.broadcast_shapes(np.shape(corr[0]), np.shape(thr))
     best = np.zeros(shape)
-    norm = np.zeros(shape) if penalized and phi is None else None
+    norm = np.zeros(shape) if penalized else None
 
     def keep(obj, ok, size, A, x):
         # candidate i on A: objective obj[i], kept where ok[i],
@@ -195,8 +195,6 @@ def _lasso_solve(
                 for j in range(1, k):
                     np.subtract(obj, np.multiply(x[j], b[j], out=tmp), out=obj)
                 keep(obj, ok, size, A, lambda i, j: x[j][i])
-    if penalized and phi is not None:
-        norm = np.abs(phi).sum(axis=0)
     return best, norm
 
 

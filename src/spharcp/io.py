@@ -159,16 +159,17 @@ def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
         raise ParseError("no coefficient rows found")
     n = int(rows["t"].max())
     L = int(rows["ell"].max()) + 1
+    # checked before any (n, L*L) array is sized, so a huge index cannot
+    # ask for one; with no duplicates, enough rows then fill every slot
+    if rows.size < n * L * L:
+        raise ParseError("incomplete coefficient grid: some (t, ell, m) slots missing")
     # row t-1, column slot_index(ell, m), of the flat (n, L*L) array
     slot = (rows["t"] - 1) * (L * L) + slot_index(rows["ell"], rows["m"])
-    counts = np.bincount(slot, minlength=n * L * L)
-    if (counts > 1).any():
+    if (np.bincount(slot, minlength=n * L * L) > 1).any():
         order = np.argsort(slot, kind="stable")
         ranked = slot[order]
         row = rows[order[1:][ranked[1:] == ranked[:-1]].min()]
         raise ParseError(f"duplicate record for (t={row['t']}, ell={row['ell']}, m={row['m']})")
-    if (counts == 0).any():
-        raise ParseError("incomplete coefficient grid: some (t, ell, m) slots missing")
     data = np.empty(n * L * L)
     data[slot] = rows["value"]
     try:

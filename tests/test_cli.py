@@ -253,6 +253,19 @@ def test_detect_truncated_input_exit_code(tmp_path):
     assert main(["detect", "--in", str(bad), "--out", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("row", ["1000000000000000,0,0,1.0", "1,1000000000,0,1.0"],
+                         ids=["huge-t", "huge-ell"])
+def test_detect_huge_index_exits_3_without_a_result(tmp_path, capsys, row):
+    bad = tmp_path / "huge.csv"
+    bad.write_text(f"t,ell,m,value\n{row}\n")
+    result_path = tmp_path / "r.json"
+    assert main(["detect", "--in", str(bad), "--out", str(result_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "incomplete coefficient grid" in err
+    assert not result_path.exists()
+
+
 def test_detect_undecodable_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bin.csv"
     bad.write_bytes(b"t,ell,m,value\n1,0,0,0.5\n2,0,0,\xff\n")

@@ -1,4 +1,4 @@
-"""Domain types and spectral diagnostics."""
+"""Domain types and the per-multipole AR diagnostics."""
 
 import re
 
@@ -8,12 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spharcp.diagnostics import (
+    DEFAULT_GRID,
+    _char_poly_sq_modulus,
     check_causality,
-    is_causal,
-    jump_size,
-    noise_ratio,
-    spectral_density,
-    stability_measures,
+    coefficient_jump,
     theory_tuning_bounds,
 )
 from spharcp.errors import ConfigError
@@ -291,34 +289,42 @@ class TestCausality:
         coeffs = ArCoefficients(p=2, phi=[[0.5, 0.4]])
         assert check_causality(coeffs).tolist() == [True]
 
+    @staticmethod
+    def causal(phi):
+        return bool(check_causality(ArCoefficients(p=len(phi), phi=[phi]))[0])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            is_causal(np.array([np.nan]))
+            self.causal([np.nan])
 
     @given(st.floats(min_value=-0.99, max_value=0.99))
     def test_zero_padding_invariance(self, phi):
-        base = is_causal(np.array([phi]))
-        padded = is_causal(np.array([phi, 0.0, 0.0]))
+        base = self.causal([phi])
+        padded = self.causal([phi, 0.0, 0.0])
         assert base == padded
 
     def test_near_unit_root_margin(self):
         # root modulus in (1, 1 + 1e-9] counts as non-causal
-        assert not is_causal(np.array([1.0 / (1.0 + 1e-10)]))
-        assert is_causal(np.array([1.0 / (1.0 + 1e-6)]))
+        assert not self.causal([1.0 / (1.0 + 1e-10)])
+        assert self.causal([1.0 / (1.0 + 1e-6)])
 
 
 class TestSpectralDensity:
+    """Spectral density c / (2 pi |1 - sum_j phi_j e^{-i nu j}|^2), through the
+    characteristic polynomial modulus that ``theory_tuning_bounds`` evaluates."""
+
+    @staticmethod
+    def density(phi, c_noise, nu):
+        return c_noise / (2 * np.pi * _char_poly_sq_modulus(np.array(phi), np.array([nu]))[0])
+
     def test_white_noise_flat(self):
-        assert spectral_density(np.array([0.0]), 1.0, 0.7) == pytest.approx(
-            1.0 / (2 * np.pi), rel=1e-12
-        )
+        assert self.density([0.0], 1.0, 0.7) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
 
     def test_ar1_at_zero_and_pi(self):
-        phi = np.array([0.5])
-        assert spectral_density(phi, 1.0, 0.0) == pytest.approx(
+        assert self.density([0.5], 1.0, 0.0) == pytest.approx(
             1.0 / (2 * np.pi * 0.25), rel=1e-12
         )
-        assert spectral_density(phi, 1.0, np.pi) == pytest.approx(
+        assert self.density([0.5], 1.0, np.pi) == pytest.approx(
             1.0 / (2 * np.pi * 2.25), rel=1e-12
         )
 
@@ -327,68 +333,46 @@ class TestSpectralDensity:
         for nu in rng.uniform(-np.pi, np.pi, size=10):
             z = 1.0 - sum(phi[j] * np.exp(-1j * nu * (j + 1)) for j in range(3))
             expected = 1.7 / (2 * np.pi * abs(z) ** 2)
-            assert spectral_density(phi, 1.7, nu) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_noncausal(self):
-        with pytest.raises(ValueError):
-            spectral_density(np.array([1.1]), 1.0, 0.0)
-
-    def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValueError):
-            spectral_density(np.array([0.5]), 0.0, 0.0)
+            assert self.density(phi, 1.7, nu) == pytest.approx(expected, rel=1e-12)
 
 
 class TestStabilityMeasures:
+    """Grid extrema mu_min, mu_max of the characteristic polynomial modulus."""
+
     def test_white_noise(self):
-        sm = stability_measures(np.array([0.0]), 1.0)
-        assert sm.mu_min == sm.mu_max == 1.0
-        assert sm.M_f == sm.m_f == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
+        mu = _char_poly_sq_modulus(np.array([0.0]), np.linspace(-np.pi, np.pi, DEFAULT_GRID))
+        assert mu.min() == mu.max() == 1.0
 
     @pytest.mark.parametrize("phi", [0.5, -0.5])
     def test_ar1_extrema(self, phi):
         # odd grid puts nu = 0 on the grid, so extrema 0.25 / 2.25 are exact
-        sm = stability_measures(np.array([phi]), 1.0, grid=4097)
-        assert sm.mu_min == pytest.approx(0.25, rel=1e-12)
-        assert sm.mu_max == pytest.approx(2.25, rel=1e-12)
-
-    def test_consistency_relations(self):
-        sm = stability_measures(np.array([0.3, 0.2]), 2.0, grid=1025)
-        assert sm.M_f == pytest.approx(2.0 / (2 * np.pi * sm.mu_min), rel=1e-15)
-        assert sm.m_f == pytest.approx(2.0 / (2 * np.pi * sm.mu_max), rel=1e-15)
-
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            stability_measures(np.array([0.5]), 1.0, grid=32)
-
-    @given(st.floats(min_value=-0.9, max_value=0.9), st.integers(min_value=65, max_value=257))
-    def test_sandwich(self, phi, grid):
-        # m_f <= f(nu) <= M_f on the grid, and both positive
-        sm = stability_measures(np.array([phi]), 1.0, grid=grid)
-        assert sm.M_f * sm.m_f > 0
-        nu = np.linspace(-np.pi, np.pi, grid)
-        dens = spectral_density(np.array([phi]), 1.0, nu)
-        assert (dens <= sm.M_f * (1 + 1e-12)).all()
-        assert (dens >= sm.m_f * (1 - 1e-12)).all()
+        mu = _char_poly_sq_modulus(np.array([phi]), np.linspace(-np.pi, np.pi, 4097))
+        assert mu.min() == pytest.approx(0.25, rel=1e-12)
+        assert mu.max() == pytest.approx(2.25, rel=1e-12)
 
 
 class TestJumpSize:
+    @staticmethod
+    def jump(a, b):
+        return coefficient_jump(a.coeffs.phi, b.coeffs.phi)
+
     def test_identical_specs(self):
         a = spec_from_phi([0.5, 0.2])
-        assert jump_size(a, a) == 0.0
+        assert self.jump(a, a) == 0.0
 
     def test_single_multipole(self):
         a = spec_from_phi([0.9])
         b = spec_from_phi([-0.9])
-        assert jump_size(a, b) == pytest.approx(1.8**2, rel=1e-12)
+        assert self.jump(a, b) == pytest.approx(1.8**2, rel=1e-12)
 
     def test_weighted_by_multipole(self):
         a = spec_from_phi([0.5, 0.5])
         b = spec_from_phi([0.5, 0.0])
-        assert jump_size(a, b) == pytest.approx(3 * 0.25, rel=1e-12)
+        assert self.jump(a, b) == pytest.approx(3 * 0.25, rel=1e-12)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            jump_size(spec_from_phi([0.5]), spec_from_phi([0.5, 0.1]))
+            self.jump(spec_from_phi([0.5]), spec_from_phi([0.5, 0.1]))
 
     # snap tiny magnitudes to zero: squaring subnormals underflows, which
     # would break the zero-iff check for reasons unrelated to the metric
@@ -407,8 +391,8 @@ class TestJumpSize:
         size = min(len(pa), len(pb))
         a = spec_from_phi(self.causal_scale(pa[:size]))
         b = spec_from_phi(self.causal_scale(pb[:size]))
-        assert jump_size(a, b) == jump_size(b, a) >= 0
-        assert (jump_size(a, b) == 0) == np.array_equal(a.coeffs.phi, b.coeffs.phi)
+        assert self.jump(a, b) == self.jump(b, a) >= 0
+        assert (self.jump(a, b) == 0) == np.array_equal(a.coeffs.phi, b.coeffs.phi)
 
 
 class TestTheoryTuningBounds:
@@ -457,8 +441,13 @@ class TestTheoryTuningBounds:
         ]
         lam = np.array([0.4, 1.0, 2.5])
         tb = theory_tuning_bounds(segs, lam=lam, p=2)
-        mu_max = [max(stability_measures(s.coeffs.phi[ell], 1.0).mu_max for s in segs)
-                  for ell in range(3)]
+        # max over the rule's grid of |1 - sum_j phi_j e^{-i nu j}|^2, per segment
+        nu = np.linspace(-np.pi, np.pi, 4096)
+        mu_max = [
+            max(np.abs(1.0 - sum(phi[j] * np.exp(-1j * nu * (j + 1)) for j in range(2))).max() ** 2
+                for phi in (s.coeffs.phi[ell] for s in segs))
+            for ell in range(3)
+        ]
         c_min = [min(s.noise_spectrum[ell] for s in segs) for ell in range(3)]
         alpha = [0.5 * c / mu for c, mu in zip(c_min, mu_max)]
         c_phi = max(float(phi @ phi) for s in segs for phi in s.coeffs.phi)
@@ -469,13 +458,9 @@ class TestTheoryTuningBounds:
         )
         assert tb.alpha.tolist() == pytest.approx(alpha, rel=1e-12)
         assert tb.C_L == pytest.approx(64.0 * max(c_phi, 1.0) * worst, rel=1e-12)
-        assert tb.kappa_L == min(jump_size(a, b) for a, b in zip(segs, segs[1:]))
+        jumps = [coefficient_jump(a.coeffs.phi, b.coeffs.phi) for a, b in zip(segs, segs[1:])]
+        assert tb.kappa_L == min(jumps)
 
-
-def test_noise_ratio_report():
-    a = spec_from_phi([0.1, 0.1], noise=[1.0, 0.5])
-    b = spec_from_phi([0.2, 0.2], noise=[0.5, 0.25])
-    assert np.allclose(noise_ratio([a, b]), [2.0, 2.0])
 
 
 def test_segment_spec_requires_positive_noise():

@@ -183,6 +183,14 @@ class TestReaderContract:
         with pytest.raises(ParseError):
             self._read(tmp_path, "t,ell,m,value\n1,0,0,nan\n")
 
+    @pytest.mark.parametrize("row", ["1000000000000000,0,0,1.0", "1,1000000000,0,1.0"],
+                             ids=["huge-t", "huge-ell"])
+    def test_huge_index_is_an_incomplete_grid_without_allocating_it(self, tmp_path, row):
+        # the grid's size is checked against the row count before any
+        # (n, L*L) array is sized: 10^15 rows or 10^18 slots per row
+        with pytest.raises(ParseError, match="^incomplete coefficient grid"):
+            self._read(tmp_path, f"t,ell,m,value\n{row}\n")
+
     def test_undecodable_file_is_parse_error_with_line(self, tmp_path):
         path = tmp_path / "bin.csv"
         path.write_bytes(b"t,ell,m,value\n1,0,0,1.5\n2,0,0,\xff\n")
