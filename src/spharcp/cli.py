@@ -78,7 +78,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     sio.write_coefficients(out, series, meta)
     truth_path = args.truth_out or out.with_suffix(".truth.json")
-    sio.write_truth(truth_path, spec, scenario_meta=meta)
+    try:
+        sio.write_truth(truth_path, spec, scenario_meta=meta)
+    except ConfigError:
+        # no coefficient file without its truth sidecar
+        out.unlink()
+        raise
     print(f"wrote {out} and {truth_path}")
     return 0
 
@@ -227,7 +232,10 @@ def cmd_bench(args) -> int:
     ]
 
     # Created only now, so a rejected setting leaves no directory behind.
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
     sio.write_locations_csv(out_dir / "locations.csv", config_echo, grouped)
     sio.write_bench_records(out_dir / "records.json", config_echo, grouped)
     sio.write_aggregate_csv(out_dir / "aggregate.csv", config_echo, rows)

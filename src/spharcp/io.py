@@ -10,7 +10,10 @@ tag and an embedded copy of the configuration that produced the file.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,17 @@ def _dumps_config(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+@contextmanager
+def _writing(path):
+    """``path`` opened for writing UTF-8 text; an ``OSError`` while opening
+    or writing it is a ``ConfigError`` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_coefficients(path, series: CoefficientSeries, meta: dict | None = None) -> None:
     """Write a coefficient series, optionally embedding a config comment.
 
@@ -42,7 +56,7 @@ def write_coefficients(path, series: CoefficientSeries, meta: dict | None = None
     Python float is the shortest round-trip decimal.
     """
     slots = [f",{ell},{m},%r\n" for ell in range(series.L) for m in range(-ell, ell + 1)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         if meta is not None:
             fh.write(CONFIG_PREFIX + _dumps_config(meta) + "\n")
         fh.write(COEFF_HEADER + "\n")
@@ -61,17 +75,20 @@ class _IndexOutOfRange(ValueError):
         super().__init__(f"index (t={row['t']}, ell={row['ell']}, m={row['m']}) out of range")
 
 
-def _parse_rows(source) -> np.ndarray:
-    """Parse ``t,ell,m,value`` rows from an open file or a list of lines.
+def _parse_rows(source, skiprows: int = 0) -> np.ndarray:
+    """Parse ``t,ell,m,value`` rows from a path, an open file or a list of lines.
 
-    Blank lines are skipped. Raises ValueError for a row that is not three
-    integers and a float, or whose index is out of range. Every row is
-    checked on its own, so a set of lines fails exactly when one of its
-    lines fails alone.
+    The first ``skiprows`` lines and blank lines are skipped. Raises
+    ValueError for a row that is not three integers and a float, or whose
+    index is out of range. Every row is checked on its own, so a set of
+    lines fails exactly when one of its lines fails alone.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(source, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+        rows = np.loadtxt(
+            source, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1,
+            skiprows=skiprows, encoding="utf-8",
+        )
     ell, m = rows["ell"], rows["m"]
     bad = (rows["t"] < 1) | (ell < 0) | (m < -ell) | (m > ell)
     if bad.any():
@@ -121,13 +138,37 @@ def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path} is not UTF-8 text: {exc}")
 
 
+# the suffixes numpy's path opener (``np.lib._datasource``) decompresses by
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _rows_path(fh) -> str | None:
+    """The path ``np.loadtxt`` may read ``fh``'s rows from, or None to read ``fh``.
+
+    ``np.loadtxt`` reads a path in chunks but a file object line by line.
+    Only a regular file can be opened again at the same bytes, and numpy's
+    path opener decompresses by suffix and fetches URLs; an absolute path
+    is never a URL, so the name is resolved and a suffix numpy would
+    decompress keeps the read on ``fh``.
+    """
+    if not (isinstance(fh.name, str) and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        return None
+    path = os.path.realpath(fh.name)
+    return None if path.endswith(_DECOMPRESSED_SUFFIXES) else path
+
+
 def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
     """Parse a coefficient file; returns the series and the embedded config, if any.
 
     Accepts externally produced files without the config comment, rows in
-    any order, blank lines and CRLF line ends. Raises ParseError with the
-    offending line number for malformed rows and undecodable bytes, and
-    for structurally incomplete files (missing or duplicate slots).
+    any order, blank lines and CRLF line ends. The config comment and the
+    header are read from the open file. The rows of a regular file are
+    parsed by numpy from its path, in chunks; a pipe, a FIFO or a name
+    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (plain text all the
+    same) is parsed through the open file, line by line. Raises ParseError
+    with the offending line number for malformed rows and undecodable
+    bytes, and for structurally incomplete files (missing or duplicate
+    slots).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -144,8 +185,9 @@ def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
                 lineno = 2
             if line.rstrip("\n") != COEFF_HEADER:
                 raise ParseError(f"line {lineno}: expected header {COEFF_HEADER!r}")
+            rows_path = _rows_path(fh)
             try:
-                rows = _parse_rows(fh)
+                rows = _parse_rows(fh) if rows_path is None else _parse_rows(rows_path, lineno)
             except ValueError as exc:
                 # A UnicodeDecodeError recurs in readlines and is handled below
                 fh.seek(0)
@@ -225,7 +267,8 @@ def write_truth(path, spec: ScenarioSpec, scenario_meta: dict | None = None) -> 
 
 
 def _write_json(path, kind: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps({"kind": kind, **doc}, indent=2, sort_keys=True) + "\n")
+    with _writing(path) as fh:
+        fh.write(json.dumps({"kind": kind, **doc}, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
@@ -374,7 +417,8 @@ def write_aggregate_csv(path, config: dict, rows: list[dict]) -> None:
     lines = [CONFIG_PREFIX + _dumps_config(config), ",".join(rows[0])]
     for row in rows:
         lines.append(",".join(_csv_cell(value) for value in row.values()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_locations_csv(path, config: dict, grouped_records: dict) -> None:
@@ -390,4 +434,5 @@ def write_locations_csv(path, config: dict, grouped_records: dict) -> None:
                     f"{_csv_cell(lam)},{_csv_cell(gamma)},{idx},{rec.seed},"
                     f"{rec.k_hat},{eta},{_csv_cell(eta / rec.n)}"
                 )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")

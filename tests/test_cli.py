@@ -663,3 +663,58 @@ def test_bench_old_sweep_syntax_is_a_per_multipole_lambda(tmp_path, capsys):
     assert main(argv + ["--lambda", "0,0.5,1"]) == 2
     assert "lam must be scalar or length L=10" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def _one_error_line(capsys, path) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_simulate_unwritable_out_exits_2(tmp_path, tiny_config, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    _one_error_line(capsys, out)
+
+
+def test_simulate_unwritable_truth_out_exits_2_and_removes_the_coefficient_file(
+    tmp_path, tiny_config, capsys
+):
+    out, truth = tmp_path / "x.csv", tmp_path / "missing" / "x.truth.json"
+    argv = ["simulate", "--config", str(tiny_config), "--out", str(out), "--truth-out", str(truth)]
+    assert main(argv) == 2
+    _one_error_line(capsys, truth)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_detect_unwritable_out_exits_2(tmp_path, tiny_config, capsys, where):
+    coeffs = tmp_path / "coeffs.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["detect", "--in", str(coeffs), "--out", str(out), "--gamma", "30"]) == 2
+    _one_error_line(capsys, out)
+
+
+def test_eval_unwritable_out_exits_2(tmp_path, tiny_config, capsys):
+    coeffs, result = tmp_path / "coeffs.csv", tmp_path / "r.json"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)]) == 0
+    assert main(["detect", "--in", str(coeffs), "--out", str(result), "--gamma", "30"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "m.json"
+    truth = tmp_path / "coeffs.truth.json"
+    assert main(["eval", "--in", str(result), "--truth", str(truth), "--out", str(out)]) == 2
+    _one_error_line(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "out, unwritable",
+    [("taken", "taken"), ("taken/bench", "taken/bench"), (".", "locations.csv")],
+    ids=["out-is-a-file", "out-under-a-file", "a-table-is-a-directory"],
+)
+def test_bench_unwritable_out_exits_2(tmp_path, capsys, out, unwritable):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "locations.csv").mkdir()
+    argv = ["bench", "table1-balanced", "--reps", "1", "--threads", "1"]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    _one_error_line(capsys, tmp_path / unwritable)

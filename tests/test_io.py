@@ -1,6 +1,10 @@
 """Coefficient file format and JSON document round trips."""
 
+import os
+import shutil
 import tempfile
+import threading
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +200,115 @@ class TestReaderContract:
         path.write_bytes(b"t,ell,m,value\n1,0,0,1.5\n2,0,0,\xff\n")
         with pytest.raises(ParseError, match=r"^line 3: "):
             read_coefficients(path)
+
+
+def _bitwise_equal(a, b) -> bool:
+    # -0.0 and 0.0 are told apart
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestReadAcrossNumpyBuffers:
+    """A file of 10^5 rows spans many of numpy's read buffers when its rows
+    are parsed from the path."""
+
+    META = {"scenario": "custom", "seed": 29}
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return random_series(n=6250, L=4, seed=29)
+
+    @staticmethod
+    def _lines(tmp_path, series, meta, crlf):
+        path = tmp_path / "big.csv"
+        write_coefficients(path, series, meta)
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) > 100_000
+        return path, lines, b"\r\n" if crlf else b"\n"
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("with_meta", [True, False], ids=["config", "no-config"])
+    def test_parses_bitwise(self, tmp_path, series, crlf, with_meta):
+        meta = self.META if with_meta else None
+        path, lines, eol = self._lines(tmp_path, series, meta, crlf)
+        path.write_bytes(eol.join(lines))
+        parsed, parsed_meta = read_coefficients(path)
+        assert parsed_meta == meta
+        assert _bitwise_equal(parsed.data, series.data)
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(b"6250,1,x,0.5", "expected 4 comma-separated fields"),
+         (b"6250,1,0,\xff", "is not UTF-8 text")],
+        ids=["malformed", "not-utf8"],
+    )
+    def test_bad_row_near_the_end_reports_its_line(self, tmp_path, series, crlf, bad, message):
+        path, lines, eol = self._lines(tmp_path, series, self.META, crlf)
+        at = len(lines) - 5
+        lines[at] = bad
+        path.write_bytes(eol.join(lines))
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: .*{message}"):
+            read_coefficients(path)
+
+
+class TestInputsReadThroughTheHandle:
+    """Inputs that numpy's path opener would read wrongly parse like the
+    plain ``.csv`` copy."""
+
+    META = {"scenario": "custom", "seed": 8}
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        # more rows than a pipe buffer holds
+        series = random_series(n=200, L=4, seed=8)
+        path = tmp_path / "plain.csv"
+        write_coefficients(path, series, self.META)
+        return path, series
+
+    @staticmethod
+    def _same(parsed, series):
+        assert parsed[1] == TestInputsReadThroughTheHandle.META
+        assert _bitwise_equal(parsed[0].data, series.data)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo(self, tmp_path, plain):
+        path, series = plain
+        fifo = tmp_path / "series.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            parsed = read_coefficients(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        self._same(parsed, series)
+
+    @pytest.mark.parametrize("name", ["series.csv.gz", "series.bz2", "series.xz", "series.lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, plain, name):
+        path, series = plain
+        shutil.copyfile(path, tmp_path / name)
+        self._same(read_coefficients(tmp_path / name), series)
+
+    def test_link_to_a_compression_suffix(self, tmp_path, plain):
+        # numpy would open the resolved name, so its suffix is the one that counts
+        path, series = plain
+        shutil.copyfile(path, tmp_path / "series.gz")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "series.gz")
+        self._same(read_coefficients(tmp_path / "link.csv"), series)
+
+    def test_relative_name_that_reads_as_a_url(self, tmp_path, plain, monkeypatch):
+        # "http://host/series.csv" names the local file http:/host/series.csv
+        path, series = plain
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        shutil.copyfile(path, tmp_path / "http:" / "host" / "series.csv")
+        monkeypatch.chdir(tmp_path)
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a local file was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        self._same(read_coefficients("http://host/series.csv"), series)
 
 
 # Bytes the earlier per-row writer produced for FIXED_SERIES and FIXED_META: values across
