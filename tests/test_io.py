@@ -290,6 +290,10 @@ class TestInputsReadThroughTheHandle:
         shutil.copyfile(path, tmp_path / name)
         self._same(read_coefficients(tmp_path / name), series)
 
+    def test_bytes_path(self, plain):
+        path, series = plain
+        self._same(read_coefficients(os.fsencode(path)), series)
+
     def test_link_to_a_compression_suffix(self, tmp_path, plain):
         # numpy would open the resolved name, so its suffix is the one that counts
         path, series = plain
