@@ -218,37 +218,38 @@ class TestReadAcrossNumpyBuffers:
         return random_series(n=6250, L=4, seed=29)
 
     @staticmethod
-    def _lines(tmp_path, series, meta, crlf):
-        path = tmp_path / "big.csv"
+    def _write(path, series, meta, crlf, bad_row=None) -> int:
+        """Write ``series`` to ``path``; ``bad_row`` replaces the row 5 lines
+        from the end. Returns that row's 1-based line number."""
         write_coefficients(path, series, meta)
         lines = path.read_bytes().split(b"\n")
         assert len(lines) > 100_000
-        return path, lines, b"\r\n" if crlf else b"\n"
+        at = len(lines) - 5
+        if bad_row is not None:
+            lines[at] = bad_row
+        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
+        return at + 1
 
     @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
     @pytest.mark.parametrize("with_meta", [True, False], ids=["config", "no-config"])
     def test_parses_bitwise(self, tmp_path, series, crlf, with_meta):
         meta = self.META if with_meta else None
-        path, lines, eol = self._lines(tmp_path, series, meta, crlf)
-        path.write_bytes(eol.join(lines))
-        parsed, parsed_meta = read_coefficients(path)
+        self._write(tmp_path / "big.csv", series, meta, crlf)
+        parsed, parsed_meta = read_coefficients(tmp_path / "big.csv")
         assert parsed_meta == meta
         assert _bitwise_equal(parsed.data, series.data)
 
     @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
     @pytest.mark.parametrize(
-        "bad, message",
+        "bad_row, message",
         [(b"6250,1,x,0.5", "expected 4 comma-separated fields"),
          (b"6250,1,0,\xff", "is not UTF-8 text")],
         ids=["malformed", "not-utf8"],
     )
-    def test_bad_row_near_the_end_reports_its_line(self, tmp_path, series, crlf, bad, message):
-        path, lines, eol = self._lines(tmp_path, series, self.META, crlf)
-        at = len(lines) - 5
-        lines[at] = bad
-        path.write_bytes(eol.join(lines))
-        with pytest.raises(ParseError, match=rf"^line {at + 1}: .*{message}"):
-            read_coefficients(path)
+    def test_bad_row_near_the_end_reports_its_line(self, tmp_path, series, crlf, bad_row, message):
+        line = self._write(tmp_path / "big.csv", series, self.META, crlf, bad_row)
+        with pytest.raises(ParseError, match=rf"^line {line}: .*{message}"):
+            read_coefficients(tmp_path / "big.csv")
 
 
 class TestInputsReadThroughTheHandle:
