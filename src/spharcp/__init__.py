@@ -3,7 +3,6 @@
 from spharcp.bench import make_scenario
 from spharcp.diagnostics import (
     TuningBounds,
-    check_causality,
     coefficient_jump,
     theory_tuning_bounds,
 )
@@ -31,6 +30,7 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
+    check_causality,
     slot_index,
 )
 

@@ -6,30 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spharcp.types import ArCoefficients, SegmentSpec
-
-# Roots with modulus in (1, 1 + EPS_ROOT] are treated as non-causal so that
-# near-unit-root models are rejected before they blow up a simulation.
-EPS_ROOT = 1e-9
+from spharcp.types import SegmentSpec, check_causality  # noqa: F401 (defined beside SegmentSpec)
 
 DEFAULT_GRID = 4096
-
-
-def check_causality(coeffs: ArCoefficients) -> np.ndarray:
-    """Per-multipole causality flags for a set of AR coefficient vectors.
-
-    Multipole ell passes iff every root of 1 - phi_1 z - ... - phi_p z^p
-    lies outside the unit circle by more than the EPS_ROOT margin. The
-    roots are the reciprocals of the eigenvalues of the companion matrix
-    [phi; I 0], so all multipoles take one batched eigenvalue call, and
-    zero lags only add zero eigenvalues.
-    """
-    L, p = coeffs.phi.shape
-    companion = np.zeros((L, p, p))
-    companion[:, :1] = coeffs.phi[:, None]
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    eig = np.linalg.eigvals(companion)
-    return (np.abs(eig) * (1.0 + EPS_ROOT) < 1.0).all(axis=1)
 
 
 def _char_poly_sq_modulus(phi: np.ndarray, nu: np.ndarray) -> np.ndarray:

@@ -285,12 +285,11 @@ class IntervalLossEngine:
             # rev[..., i] is the threshold at n_eff = n - i, and 0 from i = n on
             rev = np.zeros((len(lam), L, 2 * n + 1))
             rev[..., :n] = lam[:, :, None] * np.sqrt(n_eff * widths[:, None]) / 2.0
-            # [lam, j, ell, c] is the threshold (then 2 thr, thr > 0) of start
-            # c + 1 at end j + p, n_eff = j - c, read through views built here;
-            # forming 2 thr and thr > 0 per block costs ~5% of a tuning detect
-            self._thr, self._thr2, self._pos = (
+            # [lam, j, ell, c] is the threshold (then 2 thr) of start c + 1 at end j + p,
+            # n_eff = j - c, as views; forming 2 thr per block costs ~5% of a tuning detect
+            self._thr, self._thr2 = (
                 sliding_window_view(r, n + 1, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
-                for r in (rev, 2.0 * rev, rev > 0.0)
+                for r in (rev, 2.0 * rev)
             )
         else:
             self._thr = np.zeros((1, 1, 1, 1))
@@ -414,8 +413,8 @@ class IntervalLossEngine:
         kept candidate solves G_AA x = corr_A - thr sigma, so phi'G phi =
         corr'phi - thr ||phi||_1: the rss syy - 2 corr'phi + phi'G phi,
         clamped at 0, is syy + best - 2 thr norm from the solve's ``best``
-        and ``norm`` = ||phi||_1, with no last term where thr = 0 (0 inf,
-        at a norm that overflows, is NaN): a lambda = 0 row of a mixed
+        and ``norm`` = ||phi||_1, the last term's NaN (0 inf, at thr = 0 and
+        a norm that overflows) taken as 0: a lambda = 0 row of a mixed
         grid has a lambda = 0 engine's bits. With S >= 2 the starts stay
         numpy's inner loop, so the loss adds the multipoles in order, 0 to
         L-1, whatever B (one start alone would take numpy's pairwise sum).
@@ -435,10 +434,10 @@ class IntervalLossEngine:
         best, norm = _lasso_solve(gram, corr, thr, penalized=self._penalized, phi=phi)
         rss = np.add(syy, best, out=best)
         if self._penalized:
-            # rss -= 2 thr norm only where thr > 0
-            pos = self._pos[rows]
-            np.multiply(self._thr2[rows], norm, out=norm, where=pos)
-            np.subtract(rss, norm, out=rss, where=pos)
+            # 2 thr norm, with the NaN of 0 inf as 0: best may be finite beside it
+            with np.errstate(invalid="ignore"):
+                np.multiply(self._thr2[rows], norm, out=norm)
+            np.subtract(rss, np.fmax(norm, 0.0, out=norm), out=rss)
         np.maximum(rss, 0.0, out=rss)
         return rss, rss.sum(axis=2)
 

@@ -127,9 +127,9 @@ def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
     """ParseError naming the line of the first byte of ``path`` that is not UTF-8.
 
     ``exc`` may come from decoding one chunk of the file, so its offset is
-    found again by decoding the whole file.
+    found again by decoding the whole file, unless it is a pipe or a FIFO.
     """
-    raw = Path(path).read_bytes()
+    raw = Path(path).read_bytes() if os.path.isfile(path) else b""
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as whole:
@@ -163,9 +163,9 @@ def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
     Accepts externally produced files without the config comment, rows in
     any order, blank lines and CRLF line ends. The config comment and the
     header are read from the open file. The rows of a regular file are
-    parsed by numpy from its path, in chunks; a pipe, a FIFO or a name
-    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (plain text all the
-    same) is parsed through the open file, line by line. Raises ParseError
+    parsed by numpy from its path, in chunks; the lines of a pipe, a FIFO
+    or a name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (plain text
+    all the same) are read from the open file once. Raises ParseError
     with the offending line number for malformed rows and undecodable
     bytes, and for structurally incomplete files (missing or duplicate
     slots).
@@ -186,12 +186,13 @@ def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
             if line.rstrip("\n") != COEFF_HEADER:
                 raise ParseError(f"line {lineno}: expected header {COEFF_HEADER!r}")
             rows_path = _rows_path(fh)
+            # a stream is read once; while numpy reads a path, fh stays after the header
+            lines = fh.readlines() if rows_path is None else None
             try:
-                rows = _parse_rows(fh) if rows_path is None else _parse_rows(rows_path, lineno)
+                rows = _parse_rows(rows_path, lineno) if lines is None else _parse_rows(lines)
             except ValueError as exc:
                 # A UnicodeDecodeError recurs in readlines and is handled below
-                fh.seek(0)
-                raise _bad_row_error(fh.readlines()[lineno:], lineno + 1) from exc
+                raise _bad_row_error(lines or fh.readlines(), lineno + 1) from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

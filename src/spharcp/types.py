@@ -160,6 +160,28 @@ class ArCoefficients:
         return self.phi.shape[0]
 
 
+# Roots with modulus in (1, 1 + EPS_ROOT] are treated as non-causal so that
+# near-unit-root models are rejected before they blow up a simulation.
+EPS_ROOT = 1e-9
+
+
+def check_causality(coeffs: ArCoefficients) -> np.ndarray:
+    """Per-multipole causality flags for a set of AR coefficient vectors.
+
+    Multipole ell passes iff every root of 1 - phi_1 z - ... - phi_p z^p
+    lies outside the unit circle by more than the EPS_ROOT margin. The
+    roots are the reciprocals of the eigenvalues of the companion matrix
+    [phi; I 0], so all multipoles take one batched eigenvalue call, and
+    zero lags only add zero eigenvalues.
+    """
+    L, p = coeffs.phi.shape
+    companion = np.zeros((L, p, p))
+    companion[:, :1] = coeffs.phi[:, None]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    eig = np.linalg.eigvals(companion)
+    return (np.abs(eig) * (1.0 + EPS_ROOT) < 1.0).all(axis=1)
+
+
 @dataclass(frozen=True)
 class SegmentSpec:
     """Model of one stationary segment.
@@ -188,8 +210,6 @@ class SegmentSpec:
         if not (np.isfinite(c).all() and (c > 0).all()):
             raise ValueError("noise spectrum entries must be finite and > 0")
         object.__setattr__(self, "noise_spectrum", c)
-        from spharcp.diagnostics import check_causality  # deferred: avoids module cycle
-
         flags = check_causality(self.coeffs)
         if not flags.all():
             bad = int(np.flatnonzero(~flags)[0])

@@ -271,19 +271,35 @@ class TestInputsReadThroughTheHandle:
         assert parsed[1] == TestInputsReadThroughTheHandle.META
         assert _bitwise_equal(parsed[0].data, series.data)
 
+    @staticmethod
+    def _read_fifo(tmp_path, data: bytes):
+        """``read_coefficients`` of ``data`` written to a FIFO by a writer thread."""
+        fifo = tmp_path / "series.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return read_coefficients(fifo)
+        finally:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_fifo(self, tmp_path, plain):
         path, series = plain
-        fifo = tmp_path / "series.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
-        writer.start()
-        try:
-            parsed = read_coefficients(fifo)
-        finally:
-            writer.join(timeout=30)
-        assert not writer.is_alive()
-        self._same(parsed, series)
+        self._same(self._read_fifo(tmp_path, path.read_bytes()), series)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(b"2,0,x,1\n", r"^line 3: expected 4 comma-separated fields"),
+         (b"2,0,0,\xff\n", r"series\.fifo is not UTF-8 text")],
+        ids=["malformed", "not-utf8"],
+    )
+    def test_bad_row_through_a_fifo(self, tmp_path, rows, message):
+        # a FIFO cannot be read again: the lines read once are searched
+        with pytest.raises(ParseError, match=message):
+            self._read_fifo(tmp_path, b"t,ell,m,value\n1,0,0,1.5\n" + rows)
 
     @pytest.mark.parametrize("name", ["series.csv.gz", "series.bz2", "series.xz", "series.lzma"])
     def test_plain_text_under_a_compression_suffix(self, tmp_path, plain, name):

@@ -289,21 +289,45 @@ def test_multi_lambda_block_rows_equal_single_lambda_engines(p):
         assert np.array_equal(fit.phi, fit_1.phi) and fit.loss == fit_1.loss
 
 
-def test_zero_lambda_row_of_a_mixed_grid_adds_nothing_for_an_overflowing_norm():
-    # the fits over t = 11 overflow phi to inf, so ||phi||_1 is inf, and
-    # 2 thr ||phi||_1 at thr = 0 would make their rss NaN
+def spike_series():
+    """n = 30, L = 1: 1e-160 everywhere but 1e150 at t = 11."""
     data = np.full((30, 1), 1e-160)
     data[10] = 1e150
-    series = CoefficientSeries(n=30, L=1, data=data)
-    config = DetectorConfig(p=1, L=1, gamma=1.0, delta=3)
-    alone = IntervalLossEngine(series, config).fit_blocks(2)
-    mixed = IntervalLossEngine(series, config, (0.0, 1.0)).fit_blocks(2)
+    return CoefficientSeries(n=30, L=1, data=data)
+
+
+def near_collinear_series():
+    """n = 6, L = 1: lags ~1e-155 that differ by 1e-8 relative, then 1e148."""
+    data = np.array([[1e-155], [1.00000001e-155]] * 2 + [[1e-155], [1e148]])
+    return CoefficientSeries(n=6, L=1, data=data)
+
+
+@pytest.mark.parametrize(
+    "p, make_series",
+    [(1, spike_series), (2, spike_series), (2, near_collinear_series)],
+    ids=["1", "2", "2-finite-objective"],
+)
+def test_zero_lambda_row_of_a_mixed_grid_adds_nothing_for_an_overflowing_norm(p, make_series):
+    # the fits over t = 11 of the spike overflow phi to inf (10 such rows at
+    # p = 1, 18 at p = 2), so ||phi||_1 is inf, their objective -inf, and
+    # 2 thr ||phi||_1 at thr = 0 is NaN; on the near-collinear series the
+    # winner of [3, 6] at p = 2 has an overflowing ||phi||_1 beside a
+    # finite objective and a positive rss, which 0 inf must not clear
+    series = make_series()
+    config = DetectorConfig(p=p, L=1, gamma=1.0, delta=p + 2)
+    alone = IntervalLossEngine(series, config).fit_blocks(p + 1)
+    mixed = IntervalLossEngine(series, config, (0.0, 1.0)).fit_blocks(p + 1)
     for (e0, _, want_rss, want), (f0, _, got_rss, got) in zip(alone, mixed, strict=True):
         assert e0 == f0
         assert same_bits(got_rss[:1], want_rss) and same_bits(got[:1], want)
         assert not np.isnan(got).any()
+
+
+def test_a_final_fit_whose_phi_overflows_is_refused_on_every_row():
     # the recursion takes [1, 11] at loss 0, whose final fit's phi is inf:
     # every row refuses it rather than report the coefficients
+    series = spike_series()
+    config = DetectorConfig(p=1, L=1, gamma=1.0, delta=3)
     message = r"fit of \[1, 11\] is not finite at multipole 0"
     with pytest.raises(DegenerateFitError, match=message):
         detect(series, config)
