@@ -43,11 +43,13 @@ def _parse_lambda(text: str) -> float | tuple[float, ...]:
 
 def _load_scenario_config(path) -> dict:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(sio._decode(raw, path))
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "scenario" not in cfg:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import stat
+import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -76,7 +78,7 @@ class _IndexOutOfRange(ValueError):
 
 
 def _parse_rows(source, skiprows: int = 0) -> np.ndarray:
-    """Parse ``t,ell,m,value`` rows from a path, an open file or a list of lines.
+    """Parse ``t,ell,m,value`` rows from a path or a list of lines.
 
     The first ``skiprows`` lines and blank lines are skipped. Raises
     ValueError for a row that is not three integers and a float, or whose
@@ -123,80 +125,80 @@ def _bad_row_error(lines: list[str], first_lineno: int) -> ParseError:
     )
 
 
-def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
-    """ParseError naming the line of the first byte of ``path`` that is not UTF-8.
-
-    ``exc`` may come from decoding one chunk of the file, so its offset is
-    found again by decoding the whole file, unless it is a pipe or a FIFO.
-    """
-    raw = Path(path).read_bytes() if os.path.isfile(path) else b""
+def _decode(raw: bytes, path) -> str:
+    """``raw``, read from ``path``, as UTF-8 text; a bad byte is a ParseError naming its line."""
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        line = raw.count(b"\n", 0, whole.start) + 1
-        return ParseError(f"line {line}: {path} is not UTF-8 text: {whole.reason}")
-    return ParseError(f"{path} is not UTF-8 text: {exc}")
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # lines end as in text mode: LF, CRLF or CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"line {line}: {path} is not UTF-8 text: {exc.reason}") from exc
 
 
-# the suffixes numpy's path opener (``np.lib._datasource``) decompresses by
-_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+@contextmanager
+def _regular_file(path):
+    """The name of a regular file holding the bytes of ``path``, for ``np.loadtxt``.
 
-
-def _rows_path(fh) -> str | None:
-    """The path ``np.loadtxt`` may read ``fh``'s rows from, or None to read ``fh``.
-
-    ``np.loadtxt`` reads a path in chunks but a file object line by line.
-    Only a regular file can be opened again at the same bytes, and numpy's
-    path opener decompresses by suffix and fetches URLs; an absolute path
-    is never a URL, so the name is resolved and a suffix numpy would
-    decompress keeps the read on ``fh``.
+    numpy reads a ``str`` path in chunks, but its path opener
+    (``np.lib._datasource``) decompresses by suffix and fetches URLs, and a
+    stream cannot be opened twice. A regular file under a ``str`` name is
+    named by its resolved path (never a URL) unless that ends in a suffix
+    numpy decompresses; any other input is copied byte for byte into a
+    temporary directory, removed on exit.
     """
-    if not (isinstance(fh.name, str) and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
-        return None
-    path = os.path.realpath(fh.name)
-    return None if path.endswith(_DECOMPRESSED_SUFFIXES) else path
+    with open(path, "rb") as fh:
+        if isinstance(fh.name, str) and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            name = os.path.realpath(fh.name)
+            if not name.endswith((".gz", ".bz2", ".xz", ".lzma")):
+                yield name
+                return
+        with tempfile.TemporaryDirectory() as tmp:
+            name = os.path.join(tmp, "rows.csv")
+            with open(name, "wb") as copy:
+                shutil.copyfileobj(fh, copy)
+            yield name
 
 
 def read_coefficients(path) -> tuple[CoefficientSeries, dict | None]:
     """Parse a coefficient file; returns the series and the embedded config, if any.
 
     Accepts externally produced files without the config comment, rows in
-    any order, blank lines and CRLF line ends. The config comment and the
-    header are read from the open file. The rows of a regular file are
-    parsed by numpy from its path, in chunks; the lines of a pipe, a FIFO
-    or a name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (plain text
-    all the same) are read from the open file once. Raises ParseError
-    with the offending line number for malformed rows and undecodable
-    bytes, and for structurally incomplete files (missing or duplicate
-    slots).
+    any order, blank lines and CRLF or CR line ends. A regular file is read
+    by its path: the config comment and the header in text mode, the rows
+    by numpy, in chunks. A pipe, a FIFO, a bytes name or a name ending in
+    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (plain text all the same) is
+    first copied to a temporary file under ``TMPDIR``, which needs as much
+    free space as the input. Raises ParseError with the offending line
+    number for malformed rows and every undecodable byte, and for
+    structurally incomplete files (missing or duplicate slots).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            meta = None
-            line = fh.readline()
-            lineno = 1
-            if line.startswith("#"):
-                if line.startswith(CONFIG_PREFIX):
-                    try:
-                        meta = json.loads(line[len(CONFIG_PREFIX) :])
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(f"line 1: bad config comment: {exc}") from exc
-                line = fh.readline()
-                lineno = 2
-            if line.rstrip("\n") != COEFF_HEADER:
-                raise ParseError(f"line {lineno}: expected header {COEFF_HEADER!r}")
-            rows_path = _rows_path(fh)
-            # a stream is read once; while numpy reads a path, fh stays after the header
-            lines = fh.readlines() if rows_path is None else None
+        with _regular_file(path) as name, open(name, encoding="utf-8") as fh:
             try:
-                rows = _parse_rows(rows_path, lineno) if lines is None else _parse_rows(lines)
-            except ValueError as exc:
-                # A UnicodeDecodeError recurs in readlines and is handled below
-                raise _bad_row_error(lines or fh.readlines(), lineno + 1) from exc
+                meta = None
+                line = fh.readline()
+                lineno = 1
+                if line.startswith("#"):
+                    if line.startswith(CONFIG_PREFIX):
+                        try:
+                            meta = json.loads(line[len(CONFIG_PREFIX) :])
+                        except json.JSONDecodeError as exc:
+                            raise ParseError(f"line 1: bad config comment: {exc}") from exc
+                    line = fh.readline()
+                    lineno = 2
+                if line.rstrip("\n") != COEFF_HEADER:
+                    raise ParseError(f"line {lineno}: expected header {COEFF_HEADER!r}")
+                try:
+                    rows = _parse_rows(name, lineno)
+                except ValueError as exc:
+                    # numpy's reader reads past the header on its own handle
+                    raise _bad_row_error(fh.readlines(), lineno + 1) from exc
+            except UnicodeDecodeError as exc:
+                # the codec saw one chunk: the line is counted in the whole file
+                _decode(Path(name).read_bytes(), path)
+                raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
 
     if rows.size == 0:
         raise ParseError("no coefficient rows found")
@@ -274,13 +276,11 @@ def _write_json(path, kind: str, doc: dict) -> None:
 
 def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(_decode(raw, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != expected_kind:

@@ -9,6 +9,10 @@ interval fit, for the tests that check that fit against the oracles.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,20 @@ def series_from_streams(streams: dict[tuple[int, int], np.ndarray]) -> Coefficie
     for (ell, m), vals in streams.items():
         data[:, ell * ell + m + ell] = vals
     return CoefficientSeries(n=n, L=L, data=data)
+
+
+@contextmanager
+def fifo_fed(path, data: bytes):
+    """``path`` made a FIFO that a writer thread feeds ``data`` through; the
+    writer must be done when the block ends."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 def random_series(n: int, L: int, seed: int) -> CoefficientSeries:

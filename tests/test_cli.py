@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spharcp.io import (
     write_coefficients,
 )
 from spharcp.types import CoefficientSeries
+
+from conftest import fifo_fed
 
 
 @pytest.fixture
@@ -90,6 +93,16 @@ def test_simulate_bad_config_exit_code(tmp_path):
     cfg.write_text(json.dumps({"scenario": "unknown-thing"}))
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def test_simulate_undecodable_config_exits_2_at_its_line(tmp_path, tiny_config, capsys):
+    lines = tiny_config.read_bytes().replace(b", ", b",\n").split(b"\n")
+    lines[1] += b"\xff"
+    tiny_config.write_bytes(b"\n".join(lines))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert not out.exists() and not (tmp_path / "x.truth.json").exists()
 
 
 def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
@@ -475,6 +488,27 @@ def test_eval_undecodable_document_is_parse_error(tmp_path, tiny_config, which):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_eval_undecodable_result_through_a_fifo_exits_3_at_its_line(
+    tmp_path, tiny_config, capsys
+):
+    coeffs = tmp_path / "coeffs.csv"
+    result_path = tmp_path / "result.json"
+    main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)])
+    main(["detect", "--in", str(coeffs), "--out", str(result_path), "--gamma", "30"])
+    lines = result_path.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    capsys.readouterr()
+    with fifo_fed(tmp_path / "result.fifo", b"\n".join(lines)) as fifo:
+        code = main(
+            ["eval", "--in", str(fifo), "--truth", str(tmp_path / "coeffs.truth.json"),
+             "--out", str(tmp_path / "m.json")]
+        )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("which", ["result", "truth"])

@@ -3,7 +3,6 @@
 import os
 import shutil
 import tempfile
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from spharcp.bench import make_scenario
 from spharcp.simulate import simulate
 from spharcp.types import CoefficientSeries
 
-from conftest import random_series
+from conftest import fifo_fed, random_series
 
 
 class TestCoefficientFile:
@@ -218,7 +217,7 @@ class TestReadAcrossNumpyBuffers:
         return random_series(n=6250, L=4, seed=29)
 
     @staticmethod
-    def _write(path, series, meta, crlf, bad_row=None) -> int:
+    def _write(path, series, meta, newline, bad_row=None) -> int:
         """Write ``series`` to ``path``; ``bad_row`` replaces the row 5 lines
         from the end. Returns that row's 1-based line number."""
         write_coefficients(path, series, meta)
@@ -227,27 +226,29 @@ class TestReadAcrossNumpyBuffers:
         at = len(lines) - 5
         if bad_row is not None:
             lines[at] = bad_row
-        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
+        path.write_bytes(newline.join(lines))
         return at + 1
 
-    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("with_meta", [True, False], ids=["config", "no-config"])
-    def test_parses_bitwise(self, tmp_path, series, crlf, with_meta):
+    def test_parses_bitwise(self, tmp_path, series, newline, with_meta):
         meta = self.META if with_meta else None
-        self._write(tmp_path / "big.csv", series, meta, crlf)
+        self._write(tmp_path / "big.csv", series, meta, newline)
         parsed, parsed_meta = read_coefficients(tmp_path / "big.csv")
         assert parsed_meta == meta
         assert _bitwise_equal(parsed.data, series.data)
 
-    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize(
         "bad_row, message",
         [(b"6250,1,x,0.5", "expected 4 comma-separated fields"),
          (b"6250,1,0,\xff", "is not UTF-8 text")],
         ids=["malformed", "not-utf8"],
     )
-    def test_bad_row_near_the_end_reports_its_line(self, tmp_path, series, crlf, bad_row, message):
-        line = self._write(tmp_path / "big.csv", series, self.META, crlf, bad_row)
+    def test_bad_row_near_the_end_reports_its_line(
+        self, tmp_path, series, newline, bad_row, message
+    ):
+        line = self._write(tmp_path / "big.csv", series, self.META, newline, bad_row)
         with pytest.raises(ParseError, match=rf"^line {line}: .*{message}"):
             read_coefficients(tmp_path / "big.csv")
 
@@ -274,15 +275,8 @@ class TestInputsReadThroughTheHandle:
     @staticmethod
     def _read_fifo(tmp_path, data: bytes):
         """``read_coefficients`` of ``data`` written to a FIFO by a writer thread."""
-        fifo = tmp_path / "series.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-        writer.start()
-        try:
+        with fifo_fed(tmp_path / "series.fifo", data) as fifo:
             return read_coefficients(fifo)
-        finally:
-            writer.join(timeout=30)
-            assert not writer.is_alive()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_fifo(self, tmp_path, plain):
@@ -293,13 +287,59 @@ class TestInputsReadThroughTheHandle:
     @pytest.mark.parametrize(
         "rows, message",
         [(b"2,0,x,1\n", r"^line 3: expected 4 comma-separated fields"),
-         (b"2,0,0,\xff\n", r"series\.fifo is not UTF-8 text")],
+         (b"2,0,0,\xff\n", r"^line 3: .*series\.fifo is not UTF-8 text")],
         ids=["malformed", "not-utf8"],
     )
     def test_bad_row_through_a_fifo(self, tmp_path, rows, message):
-        # a FIFO cannot be read again: the lines read once are searched
+        # a FIFO is copied to a regular file first, so a bad byte names its line too
         with pytest.raises(ParseError, match=message):
             self._read_fifo(tmp_path, b"t,ell,m,value\n1,0,0,1.5\n" + rows)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize(
+        "newline, after_header", [(b"\r", b""), (b"\r\n", b"\r\n")], ids=["cr", "crlf-blank"]
+    )
+    def test_other_line_ends_from_a_file_and_a_fifo(self, tmp_path, plain, newline, after_header):
+        # the header is read in text mode, so any newline convention ends it
+        path, series = plain
+        header = COEFF_HEADER.encode() + newline
+        data = path.read_bytes().replace(b"\n", newline).replace(header, header + after_header)
+        (tmp_path / "ends.csv").write_bytes(data)
+        self._same(read_coefficients(tmp_path / "ends.csv"), series)
+        self._same(self._read_fifo(tmp_path, data), series)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize(
+        "row, message",
+        [(b"", None), (b"201,0,x,1\n", "expected 4 comma-separated fields"),
+         (b"201,0,0,\xff\n", "is not UTF-8 text")],
+        ids=["parses", "malformed", "not-utf8"],
+    )
+    def test_no_temporary_file_outlives_a_fifo_read(
+        self, tmp_path, plain, monkeypatch, row, message
+    ):
+        path, series = plain
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recorded_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
+        data = path.read_bytes() + row
+        if message is None:
+            self._same(self._read_fifo(tmp_path, data), series)
+        else:
+            line = data.count(b"\n")
+            with pytest.raises(ParseError, match=rf"^line {line}: .*{message}"):
+                self._read_fifo(tmp_path, data)
+        # the FIFO was copied into a directory under tmp, and that is gone
+        assert len(made) == 1 and os.path.dirname(made[0]) == str(tmp)
+        assert os.listdir(tmp) == []
 
     @pytest.mark.parametrize("name", ["series.csv.gz", "series.bz2", "series.xz", "series.lzma"])
     def test_plain_text_under_a_compression_suffix(self, tmp_path, plain, name):
