@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -43,15 +42,9 @@ def _parse_lambda(text: str) -> float | tuple[float, ...]:
 
 def _load_scenario_config(path) -> dict:
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(sio._decode(raw, path))
+        cfg = sio.load_json(path)
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "scenario" not in cfg:
         raise ConfigError(f"{path}: expected an object with a 'scenario' key")
     return cfg
@@ -100,30 +93,6 @@ def _detector_from_args(args, series_L: int) -> DetectorConfig:
     )
 
 
-def _fitted_segment_specs(result) -> tuple[list[SegmentSpec] | None, str | None]:
-    """Segment specs from fitted coefficients and residual variances.
-
-    Returns (None, reason) when no valid spec can be formed: a residual
-    variance vanished, or a fitted coefficient vector is non-causal.
-    """
-    specs = []
-    for fit in result.fits:
-        widths = 2 * np.arange(result.config.L) + 1
-        noise = fit.rss / (fit.n_eff * widths)
-        if (noise <= 0).any():
-            return None, "residual variance vanished on a segment"
-        try:
-            specs.append(
-                SegmentSpec(
-                    coeffs=ArCoefficients(p=result.config.p, phi=fit.phi),
-                    noise_spectrum=noise,
-                )
-            )
-        except ValueError as exc:
-            return None, str(exc)
-    return specs, None
-
-
 def cmd_detect(args) -> int:
     series, _ = sio.read_coefficients(args.infile)
     config = _detector_from_args(args, series.L)
@@ -149,21 +118,26 @@ def cmd_detect(args) -> int:
 
     diagnostics: dict = {"jumps": list(result.jumps)}
     if args.theory_bounds:
-        specs, note = _fitted_segment_specs(result)
-        bounds = None
-        if specs is not None:
-            try:
-                tb = theory_tuning_bounds(specs, config.lam_per_ell, config.p)
-                bounds = {
-                    "alpha": tb.alpha.tolist(),
-                    "C_L": tb.C_L,
-                    "kappa_L": tb.kappa_L,
-                }
-            except ValueError as exc:
-                note = str(exc)
-        diagnostics["theory_bounds"] = bounds
-        if note:
-            diagnostics["theory_bounds_note"] = note
+        # a vanished residual variance or a non-causal phi is no SegmentSpec: null and a note
+        widths = 2 * np.arange(config.L) + 1
+        try:
+            specs = [
+                SegmentSpec(
+                    coeffs=ArCoefficients(p=config.p, phi=fit.phi),
+                    noise_spectrum=fit.rss / (fit.n_eff * widths),
+                )
+                for fit in result.fits
+            ]
+            tb = theory_tuning_bounds(specs, config.lam_per_ell, config.p)
+        except ValueError as exc:
+            diagnostics["theory_bounds"] = None
+            diagnostics["theory_bounds_note"] = str(exc)
+        else:
+            diagnostics["theory_bounds"] = {
+                "alpha": tb.alpha.tolist(),
+                "C_L": tb.C_L,
+                "kappa_L": tb.kappa_L,
+            }
 
     sio.write_result(
         args.out,
@@ -221,7 +195,7 @@ def cmd_bench(args) -> int:
         "base_seed": args.seed,
         "delta": args.delta,
         "threads": args.threads,
-        "lambda": [lam if np.ndim(lam) == 0 else list(lam) for lam in lams],
+        "lambda": list(lams),
         "gamma": list(gammas),
     }
     config = DetectorConfig(p=1, L=SCENARIO_L, delta=args.delta)

@@ -1,4 +1,7 @@
-"""Causality checks, coefficient jumps and tuning-rule bounds for per-multipole AR models."""
+"""Coefficient jumps and tuning-rule bounds for per-multipole AR models.
+
+The causality check each ``SegmentSpec`` runs lives beside it, in ``types``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spharcp.types import SegmentSpec, check_causality  # noqa: F401 (defined beside SegmentSpec)
+from spharcp.types import SegmentSpec
 
 DEFAULT_GRID = 4096
 

@@ -274,15 +274,24 @@ def _write_json(path, kind: str, doc: dict) -> None:
         fh.write(json.dumps({"kind": kind, **doc}, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
+def load_json(path):
+    """The JSON value in ``path``, read once as bytes through ``open``, so a
+    ``str``, ``bytes`` or path-like name, a pipe and a FIFO all work. A
+    file that cannot be read, a byte that is not UTF-8 (named by its line)
+    and invalid JSON are each a ``ParseError`` naming ``path``."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(_decode(raw, path))
+        return json.loads(_decode(raw, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _read_json(path, expected_kind: str, required: tuple[str, ...] = ()) -> dict:
+    doc = load_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != expected_kind:
         raise ParseError(f"{path}: not a {expected_kind} document")
     missing = [key for key in required if key not in doc]
@@ -409,31 +418,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path, config: dict, header, rows) -> None:
+    """A bench table: the config comment, the ``header`` line, then one
+    line of ``_csv_cell`` cells per row."""
+    lines = [CONFIG_PREFIX + _dumps_config(config), ",".join(header)]
+    lines += [",".join(_csv_cell(cell) for cell in row) for row in rows]
+    with _writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_aggregate_csv(path, config: dict, rows: list[dict]) -> None:
     """Plot-ready aggregate table, one row per detector setting.
 
     ``rows`` is non-empty and every row has the same keys in the same
     order; the first row's keys are the header.
     """
-    lines = [CONFIG_PREFIX + _dumps_config(config), ",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(_csv_cell(value) for value in row.values()))
-    with _writing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, config, rows[0], (row.values() for row in rows))
 
 
 def write_locations_csv(path, config: dict, grouped_records: dict) -> None:
     """Estimated change point locations of a bench run, one row per location."""
-    lines = [
-        CONFIG_PREFIX + _dumps_config(config),
-        "lambda,gamma,replicate,seed,k_hat,eta_hat,rho_hat",
-    ]
-    for (lam, gamma), records in grouped_records.items():
-        for idx, rec in enumerate(records):
-            for eta in rec.est_cps:
-                lines.append(
-                    f"{_csv_cell(lam)},{_csv_cell(gamma)},{idx},{rec.seed},"
-                    f"{rec.k_hat},{eta},{_csv_cell(eta / rec.n)}"
-                )
-    with _writing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (lam, gamma, idx, rec.seed, rec.k_hat, eta, eta / rec.n)
+        for (lam, gamma), records in grouped_records.items()
+        for idx, rec in enumerate(records)
+        for eta in rec.est_cps
+    )
+    header = ("lambda", "gamma", "replicate", "seed", "k_hat", "eta_hat", "rho_hat")
+    _write_csv(path, config, header, rows)

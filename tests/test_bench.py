@@ -52,6 +52,11 @@ def test_resolve_threads_rejects_a_count_that_is_not_an_integer(threads):
         resolve_threads(threads)
 
 
+def test_resolve_threads_rejects_zero():
+    with pytest.raises(ConfigError, match=r"^threads must be >= 1$"):
+        resolve_threads(0)
+
+
 def test_resolve_threads_default_positive():
     assert resolve_threads(None) >= 1
 
@@ -106,8 +111,10 @@ def test_tuning_grid_rejects_repeated_sweep_values(lams, gammas):
         {"base_seed": -1},
         {"reps": 1.5},
         {"reps": True},
+        {"reps": 0},
     ],
-    ids=["lambda-negative", "gamma-nan", "q-20", "d-8", "seed-negative", "reps-float", "reps-bool"],
+    ids=["lambda-negative", "gamma-nan", "q-20", "d-8", "seed-negative", "reps-float", "reps-bool",
+         "reps-zero"],
 )
 def test_run_grid_checks_every_input_before_any_replicate(monkeypatch, bad):
     def no_replicates(*args, **kwargs):

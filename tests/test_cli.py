@@ -105,6 +105,26 @@ def test_simulate_undecodable_config_exits_2_at_its_line(tmp_path, tiny_config, 
     assert not out.exists() and not (tmp_path / "x.truth.json").exists()
 
 
+@pytest.mark.parametrize(
+    "content, shown",
+    [
+        (None, "cannot read {cfg}: "),
+        ('{"scenario": ', "{cfg}: invalid JSON: "),
+        ('["table1-balanced"]', "{cfg}: expected an object with a 'scenario' key"),
+    ],
+    ids=["missing", "invalid-json", "json-list"],
+)
+def test_simulate_unloadable_config_exits_2_and_writes_nothing(tmp_path, capsys, content, shown):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + shown.format(cfg=cfg)) and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "x.truth.json").exists()
+
+
 def test_simulate_custom_config_missing_key_exit_code(tmp_path, tiny_config):
     cfg = json.loads(tiny_config.read_text())
     del cfg["segments"]
@@ -218,6 +238,15 @@ def test_detect_bad_setting_exits_2_with_one_error_line(tmp_path, tiny_config, c
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_detect_lambda_that_is_not_a_number_exits_2(tmp_path, capsys):
+    # argparse rejects the value before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--in", str(tmp_path / "c.csv"), "--out", str(tmp_path / "r.json"),
+              "--lambda", "0,x"])
+    assert exc.value.code == 2
+    assert "argument --lambda: invalid" in capsys.readouterr().err
+
+
 def test_simulate_noncausal_custom_config_exits_2(tmp_path, tiny_config, capsys):
     cfg = json.loads(tiny_config.read_text())
     cfg["segments"][1]["phi"] = [[1.5], [0.6]]
@@ -286,6 +315,15 @@ def test_detect_undecodable_input_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_detect_bad_config_comment_exits_3(tmp_path, capsys):
+    bad = tmp_path / "comment.csv"
+    bad.write_text("# spharcp-config {\nt,ell,m,value\n1,0,0,0.5\n")
+    result_path = tmp_path / "r.json"
+    assert main(["detect", "--in", str(bad), "--out", str(result_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 1: bad config comment: ")
+    assert not result_path.exists()
+
+
 def test_detect_intercept_and_theory_bounds(tmp_path, tiny_config):
     coeffs = tmp_path / "coeffs.csv"
     result_path = tmp_path / "result.json"
@@ -308,6 +346,38 @@ def test_detect_intercept_and_theory_bounds(tmp_path, tiny_config):
     bounds = result["diagnostics"]["theory_bounds"]
     assert bounds is not None
     assert np.isfinite(bounds["C_L"])
+
+
+def _ar1_path(n: int, phi: float) -> np.ndarray:
+    """x_1 = 1, then x_t = phi x_{t-1} plus a standard normal draw."""
+    rng = np.random.default_rng(0)
+    x = np.empty(n)
+    x[0] = 1.0
+    for t in range(1, n):
+        x[t] = phi * x[t - 1] + rng.standard_normal()
+    return x
+
+
+@pytest.mark.parametrize(
+    "data, flags, note",
+    [
+        # 0.5**t is an exact AR(1): its residual variance is 0
+        (0.5 ** np.arange(1, 41), [], "noise spectrum entries must be finite and > 0"),
+        (_ar1_path(40, 1.3), ["--gamma", "1e30"], "segment is not causal at multipole 0"),
+    ],
+    ids=["vanished-variance", "non-causal"],
+)
+def test_detect_theory_bounds_without_a_valid_segment_model_are_null_with_a_note(
+    tmp_path, data, flags, note
+):
+    coeffs = tmp_path / "c.csv"
+    write_coefficients(coeffs, CoefficientSeries(n=40, L=1, data=data[:, None]))
+    result_path = tmp_path / "r.json"
+    argv = ["detect", "--in", str(coeffs), "--out", str(result_path), "--theory-bounds", *flags]
+    assert main(argv) == 0
+    diagnostics = read_result(result_path)["diagnostics"]
+    assert diagnostics["theory_bounds"] is None
+    assert diagnostics["theory_bounds_note"] == note
 
 
 def test_detect_on_simulated_benchmark_scenario(tmp_path):
@@ -511,6 +581,29 @@ def test_eval_undecodable_result_through_a_fifo_exits_3_at_its_line(
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "content, shown",
+    [(None, "cannot read {path}: "), ("{", "{path}: invalid JSON: ")],
+    ids=["missing", "invalid-json"],
+)
+def test_eval_unloadable_result_exits_3_without_metrics(
+    tmp_path, tiny_config, capsys, content, shown
+):
+    coeffs = tmp_path / "coeffs.csv"
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(coeffs)]) == 0
+    result_path = tmp_path / "result.json"
+    if content is not None:
+        result_path.write_text(content)
+    capsys.readouterr()
+    metrics = tmp_path / "m.json"
+    argv = ["eval", "--in", str(result_path), "--truth", str(tmp_path / "coeffs.truth.json"),
+            "--out", str(metrics)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + shown.format(path=result_path)) and err.count("\n") == 1
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("which", ["result", "truth"])
 @pytest.mark.parametrize(
     "cps, message",
@@ -651,6 +744,7 @@ def test_bench_tuning_grid_outputs(tmp_path):
     assert (out_dir / "aggregate.csv").exists()
 
 
+
 @pytest.mark.parametrize(
     "sweep",
     [
@@ -697,6 +791,20 @@ def test_bench_old_sweep_syntax_is_a_per_multipole_lambda(tmp_path, capsys):
     assert main(argv + ["--lambda", "0,0.5,1"]) == 2
     assert "lam must be scalar or length L=10" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_bench_per_multipole_lambda_is_one_joined_cell(tmp_path):
+    out_dir = tmp_path / "tuning"
+    lam = [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]
+    argv = ["bench", "tuning-grid", "--out", str(out_dir), "--reps", "1", "--threads", "1",
+            "--lambda", ",".join(map(str, lam)), "--gamma", "300"]
+    assert main(argv) == 0
+    cell = ";".join(map(repr, lam))
+    (row,) = _rows_after_config(out_dir / "aggregate.csv")[1:]
+    assert row.startswith(f"tuning-grid,{cell},300.0,")
+    locations = _rows_after_config(out_dir / "locations.csv")[1:]
+    assert locations and all(line.startswith(f"{cell},300.0,0,") for line in locations)
+    assert read_bench_records(out_dir / "records.json")["config"]["lambda"] == [lam]
 
 
 def _one_error_line(capsys, path) -> None:

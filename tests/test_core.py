@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spharcp.diagnostics import (
     DEFAULT_GRID,
     _char_poly_sq_modulus,
-    check_causality,
     coefficient_jump,
     theory_tuning_bounds,
 )
@@ -21,6 +20,7 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
+    check_causality,
     check_integer,
     check_real_array,
     slot_index,

@@ -1,6 +1,7 @@
 """Coefficient file format and JSON document round trips."""
 
 import os
+import re
 import shutil
 import tempfile
 import urllib.request
@@ -14,10 +15,17 @@ from hypothesis import strategies as st
 from spharcp.errors import ParseError
 from spharcp.io import (
     COEFF_HEADER,
+    load_json,
+    read_bench_records,
     read_coefficients,
+    read_metrics,
+    read_result,
     read_truth,
     truth_to_scenario,
+    write_bench_records,
     write_coefficients,
+    write_metrics,
+    write_result,
     write_truth,
 )
 from spharcp.bench import make_scenario
@@ -477,3 +485,44 @@ class TestTruthDocument:
         path.write_text('{"kind": "other"}')
         with pytest.raises(ParseError):
             read_truth(path)
+
+
+class TestJsonDocuments:
+    """Every JSON document is read by ``load_json``, once, as bytes."""
+
+    @pytest.fixture
+    def documents(self, tmp_path):
+        """One document of each kind, by reader, with the key each one must keep."""
+        names = ("truth", "result", "metrics", "bench")
+        paths = {name: tmp_path / f"{name}.json" for name in names}
+        write_truth(paths["truth"], make_scenario("table1-balanced", q=8, d=2, seed=1))
+        write_result(paths["result"], {"n": 200, "change_points": [100]})
+        write_metrics(paths["metrics"], {"hausdorff_scaled": 0.25})
+        write_bench_records(paths["bench"], {"reps": 0}, {})
+        return [
+            (read_truth, paths["truth"], ("change_points", [100])),
+            (read_result, paths["result"], ("change_points", [100])),
+            (read_metrics, paths["metrics"], ("hausdorff_scaled", 0.25)),
+            (read_bench_records, paths["bench"], ("runs", [])),
+        ]
+
+    def test_bytes_path(self, documents):
+        for reader, path, (key, value) in documents:
+            assert reader(os.fsencode(path)) == reader(path)
+            assert reader(os.fsencode(path))[key] == value
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_document_through_a_fifo(self, tmp_path, documents):
+        reader, path, _ = documents[1]
+        with fifo_fed(tmp_path / "result.fifo", path.read_bytes()) as fifo:
+            assert reader(fifo) == reader(path)
+
+    def test_unreadable_and_invalid_json_name_the_path(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ParseError, match=rf"^cannot read {re.escape(str(path))}: "):
+            load_json(path)
+        path.write_text("[1,")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: invalid JSON: "):
+            load_json(path)
+        path.write_text("[1, 2]")
+        assert load_json(os.fsencode(path)) == [1, 2]
