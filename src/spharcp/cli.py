@@ -36,7 +36,8 @@ def _parse_lambda(text: str) -> float | tuple[float, ...]:
     try:
         parts = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad --lambda value {text!r}: {exc}") from exc
+        # argparse shows an ArgumentTypeError's own text (any other error as "invalid value")
+        raise argparse.ArgumentTypeError(f"bad --lambda value {text!r}: {exc}") from exc
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -94,6 +95,9 @@ def _detector_from_args(args, series_L: int) -> DetectorConfig:
 
 
 def cmd_detect(args) -> int:
+    # an intercept fit needs a segment of p + 2 or more, and detect only promises delta
+    if args.intercept and args.delta < args.p + 2:
+        raise ConfigError(f"--intercept needs --delta >= p + 2 = {args.p + 2}, got {args.delta}")
     series, _ = sio.read_coefficients(args.infile)
     config = _detector_from_args(args, series.L)
     result = detect(series, config)

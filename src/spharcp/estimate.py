@@ -56,18 +56,16 @@ def _lag_products(series: CoefficientSeries, p: int, L: int) -> np.ndarray:
     return lag
 
 
-def per_time_products(series: CoefficientSeries, p: int, L: int | None = None) -> np.ndarray:
+def per_time_products(series: CoefficientSeries, p: int) -> np.ndarray:
     """Cross products sum_m a(t-j) a(t-k) for all lag pairs, per multipole.
 
-    Covers multipoles ``0..L-1`` (all of the series' by default). Returns
-    shape ``(n, L, n_pairs)``; row t-1 is defined for t >= p+1 and
+    Returns shape ``(n, L, n_pairs)``; row t-1 is defined for t >= p+1 and
     poisoned with NaN before that, so a mis-sliced interval fails loudly.
     Pair (j, k) at time t is the lag product u_{k-j}(t-j) (``_lag_products``).
     An interval's Gram system is the sum of these rows over t = s+p..e,
     which involves the data in [s, e] only.
     """
-    n = series.n
-    L = series.L if L is None else L
+    n, L = series.n, series.L
     lag = _lag_products(series, p, L)
     # the lag pairs (j, k), 0 <= j <= k <= p, in column order
     pairs = [(j, k) for j in range(p + 1) for k in range(j, p + 1)]

@@ -370,10 +370,6 @@ def write_metrics(path, doc: dict) -> None:
     _write_json(path, "spharcp-metrics", doc)
 
 
-def read_metrics(path) -> dict:
-    return _read_json(path, "spharcp-metrics")
-
-
 def record_to_json(record) -> dict:
     return {
         "scenario": record.scenario,
@@ -402,10 +398,6 @@ def write_bench_records(path, config: dict, grouped_records: dict) -> None:
         ],
     }
     _write_json(path, "spharcp-bench", doc)
-
-
-def read_bench_records(path) -> dict:
-    return _read_json(path, "spharcp-bench")
 
 
 def _csv_cell(value) -> str:

@@ -111,22 +111,6 @@ class CoefficientSeries:
             raise ValueError("coefficient data contains non-finite values")
         object.__setattr__(self, "data", data)
 
-    def value(self, t: int, ell: int, m: int) -> float:
-        """Coefficient a_{ell,m}(t) for a 1-based timestamp t."""
-        if not 1 <= t <= self.n:
-            raise IndexError(f"timestamp t={t} outside 1..{self.n}")
-        if not 0 <= ell < self.L:
-            raise IndexError(f"multipole ell={ell} outside 0..{self.L - 1}")
-        return float(self.data[t - 1, slot_index(ell, m)])
-
-    def stream(self, ell: int, m: int) -> np.ndarray:
-        """Time series of component (ell, m), length n (read-only view)."""
-        if not 0 <= ell < self.L:
-            raise IndexError(f"multipole ell={ell} outside 0..{self.L - 1}")
-        v = self.data[:, slot_index(ell, m)]
-        v.flags.writeable = False
-        return v
-
     def multipole_block(self, ell: int) -> np.ndarray:
         """All 2*ell+1 streams of multipole ell as an (n, 2*ell+1) array."""
         if not 0 <= ell < self.L:

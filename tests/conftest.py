@@ -23,6 +23,7 @@ from spharcp.types import (
     DetectorConfig,
     Partition,
     SegmentSpec,
+    slot_index,
 )
 from spharcp.simulate import ScenarioSpec, simulate
 
@@ -80,8 +81,8 @@ def dense_design(series: CoefficientSeries, s: int, e: int, ell: int, p: int):
     rows_x = []
     for t in range(s + p, e + 1):
         for m in range(-ell, ell + 1):
-            rows_y.append(series.value(t, ell, m))
-            rows_x.append([series.value(t - j, ell, m) for j in range(1, p + 1)])
+            rows_y.append(series.data[t - 1, slot_index(ell, m)])
+            rows_x.append([series.data[t - 1 - j, slot_index(ell, m)] for j in range(1, p + 1)])
     return np.array(rows_y), np.array(rows_x)
 
 

@@ -13,7 +13,7 @@ from spharcp.bench import make_scenario, run_grid
 from spharcp.diagnostics import theory_tuning_bounds
 from spharcp.evaluate import aggregate, hausdorff_scaled
 from spharcp.segment import detect
-from spharcp.types import DetectorConfig
+from spharcp.types import DetectorConfig, slot_index
 
 from conftest import (
     all_partitions,
@@ -167,11 +167,11 @@ def test_criterion_7_simulator_stationarity():
     # var(sigma^2_hat) ~ 2 sigma^4 / n * (1 + phi^2) / (1 - phi^2)
     se_var = target * math.sqrt(2.0 / n * 1.25 / 0.75)
     var_devs = [
-        abs(series.stream(ell, m).var() - target) / se_var
+        abs(series.data[:, slot_index(ell, m)].var() - target) / se_var
         for ell in range(2)
         for m in range(-ell, ell + 1)
     ]
-    streams = [series.stream(ell, m) for ell in range(2) for m in range(-ell, ell + 1)]
+    streams = [series.data[:, slot_index(ell, m)] for ell in range(2) for m in range(-ell, ell + 1)]
     se_corr = 1.0 / math.sqrt(n)
     corr_devs = [
         abs(np.corrcoef(streams[i], streams[j])[0, 1]) / se_corr

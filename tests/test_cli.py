@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from spharcp.cli import main
-from spharcp.io import (
-    read_bench_records,
-    read_coefficients,
-    read_metrics,
-    read_result,
-    write_coefficients,
-)
+from spharcp.io import load_json, read_coefficients, read_result, write_coefficients
 from spharcp.types import CoefficientSeries
 
 from conftest import fifo_fed
@@ -238,13 +232,39 @@ def test_detect_bad_setting_exits_2_with_one_error_line(tmp_path, tiny_config, c
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_detect_lambda_that_is_not_a_number_exits_2(tmp_path, capsys):
-    # argparse rejects the value before any file is read
+def _lambda_that_is_not_a_number_exits_2(capsys, argv) -> None:
+    # argparse rejects the value before any file is read, and shows why
     with pytest.raises(SystemExit) as exc:
-        main(["detect", "--in", str(tmp_path / "c.csv"), "--out", str(tmp_path / "r.json"),
-              "--lambda", "0,x"])
+        main([*argv, "--lambda", "0,x"])
     assert exc.value.code == 2
-    assert "argument --lambda: invalid" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "error: argument --lambda: bad --lambda value '0,x': "
+        "could not convert string to float: 'x'\n"
+    )
+
+
+def test_detect_lambda_that_is_not_a_number_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    _lambda_that_is_not_a_number_exits_2(
+        capsys, ["detect", "--in", str(tmp_path / "c.csv"), "--out", str(out)]
+    )
+    assert not out.exists()
+
+
+def test_bench_lambda_that_is_not_a_number_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    _lambda_that_is_not_a_number_exits_2(capsys, ["bench", "epidemic", "--out", str(out_dir)])
+    assert not out_dir.exists()
+
+
+def test_detect_intercept_with_delta_below_p_plus_2_exits_2_before_reading(tmp_path, capsys):
+    # a detected segment delta = p + 1 long has no intercept fit; say so
+    # before the input is read and the DP is run
+    result_path = tmp_path / "r.json"
+    argv = ["detect", "--in", str(tmp_path / "missing.csv"), "--out", str(result_path)]
+    assert main([*argv, "--delta", "2", "--intercept"]) == 2
+    assert capsys.readouterr().err == "error: --intercept needs --delta >= p + 2 = 3, got 2\n"
+    assert not result_path.exists()
 
 
 def test_simulate_noncausal_custom_config_exits_2(tmp_path, tiny_config, capsys):
@@ -462,7 +482,7 @@ def test_eval_exact_match_gives_zero_distance(tmp_path, tiny_config):
             "--out", str(metrics_path),
         ]
     )
-    assert read_metrics(metrics_path)["hausdorff_scaled"] == 0.0
+    assert load_json(metrics_path)["hausdorff_scaled"] == 0.0
 
 
 def test_eval_result_equals_truth(tmp_path, tiny_config):
@@ -480,7 +500,7 @@ def test_eval_result_equals_truth(tmp_path, tiny_config):
         ]
     )
     assert code == 0
-    metrics = read_metrics(metrics_path)
+    metrics = load_json(metrics_path)
     assert metrics["true_change_points"] == [30]
     assert 0.0 <= metrics["hausdorff_scaled"] <= 1.0
     assert len(metrics["assigned"]) == 1
@@ -500,7 +520,7 @@ def test_eval_empty_estimate_gets_distance_one(tmp_path, tiny_config):
             "--out", str(metrics_path),
         ]
     )
-    assert read_metrics(metrics_path)["hausdorff_scaled"] == 1.0
+    assert load_json(metrics_path)["hausdorff_scaled"] == 1.0
 
 
 def test_eval_n_mismatch_exit_code(tmp_path, tiny_config):
@@ -679,7 +699,7 @@ def test_bench_two_replicates(tmp_path):
         ]
     )
     assert code == 0
-    doc = read_bench_records(out_dir / "records.json")
+    doc = load_json(out_dir / "records.json")
     records = doc["runs"][0]["records"]
     assert len(records) == 2
     assert records[0]["seed"] == 7 and records[1]["seed"] == 8
@@ -699,8 +719,8 @@ def test_bench_reproducible_across_thread_counts(tmp_path):
     args = ["bench", "table1-balanced", "--reps", "2", "--seed", "3", "--gamma", "300"]
     assert main(args + ["--out", str(out_a), "--threads", "1"]) == 0
     assert main(args + ["--out", str(out_b), "--threads", "2"]) == 0
-    rec_a = read_bench_records(out_a / "records.json")
-    rec_b = read_bench_records(out_b / "records.json")
+    rec_a = load_json(out_a / "records.json")
+    rec_b = load_json(out_b / "records.json")
     for run_a, run_b in zip(rec_a["runs"], rec_b["runs"]):
         for a, b in zip(run_a["records"], run_b["records"]):
             a.pop("runtime_seconds")
@@ -737,7 +757,7 @@ def test_bench_tuning_grid_outputs(tmp_path):
         ]
     )
     assert code == 0
-    doc = read_bench_records(out_dir / "records.json")
+    doc = load_json(out_dir / "records.json")
     assert len(doc["runs"]) == 2
     locations = (out_dir / "locations.csv").read_text().splitlines()
     assert locations[1] == "lambda,gamma,replicate,seed,k_hat,eta_hat,rho_hat"
@@ -804,7 +824,7 @@ def test_bench_per_multipole_lambda_is_one_joined_cell(tmp_path):
     assert row.startswith(f"tuning-grid,{cell},300.0,")
     locations = _rows_after_config(out_dir / "locations.csv")[1:]
     assert locations and all(line.startswith(f"{cell},300.0,0,") for line in locations)
-    assert read_bench_records(out_dir / "records.json")["config"]["lambda"] == [lam]
+    assert load_json(out_dir / "records.json")["config"]["lambda"] == [lam]
 
 
 def _one_error_line(capsys, path) -> None:

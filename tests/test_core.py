@@ -64,13 +64,6 @@ class TestCoefficientSeries:
         with pytest.raises(ValueError):
             CoefficientSeries(n=4, L=2, data=data)
 
-    def test_value_and_stream_agree(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((5, 4))
-        s = CoefficientSeries(n=5, L=2, data=data)
-        assert s.value(2, 1, -1) == data[1, 1]
-        assert np.array_equal(s.stream(1, 1), data[:, 3])
-
     @pytest.mark.parametrize(
         "field, value", [("n", 12.0), ("n", True), ("L", 2.0), ("L", "2"), ("L", None)]
     )

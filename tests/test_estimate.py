@@ -426,9 +426,6 @@ class TestIntervalLoss:
         assert np.array_equal(full.phi, alone.phi)
         assert np.array_equal(full.rss, alone.rss)
         assert full.loss == alone.loss
-        assert np.array_equal(
-            per_time_products(series, p, 2), per_time_products(series, p)[:, :2], equal_nan=True
-        )
 
     def test_blocks_tile_the_ends_within_the_row_budget(self):
         # A block counts its ends times the starts 1..e1-p whose moments it

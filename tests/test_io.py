@@ -16,15 +16,11 @@ from spharcp.errors import ParseError
 from spharcp.io import (
     COEFF_HEADER,
     load_json,
-    read_bench_records,
     read_coefficients,
-    read_metrics,
     read_result,
     read_truth,
     truth_to_scenario,
-    write_bench_records,
     write_coefficients,
-    write_metrics,
     write_result,
     write_truth,
 )
@@ -68,7 +64,7 @@ class TestCoefficientFile:
         series, meta = read_coefficients(path)
         assert meta is None
         assert series.n == 2 and series.L == 1
-        assert series.value(1, 0, 0) == 1.5
+        assert series.data[0, 0] == 1.5
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -492,18 +488,13 @@ class TestJsonDocuments:
 
     @pytest.fixture
     def documents(self, tmp_path):
-        """One document of each kind, by reader, with the key each one must keep."""
-        names = ("truth", "result", "metrics", "bench")
-        paths = {name: tmp_path / f"{name}.json" for name in names}
+        """A truth and a result document, by reader, with the key each one must keep."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("truth", "result")}
         write_truth(paths["truth"], make_scenario("table1-balanced", q=8, d=2, seed=1))
         write_result(paths["result"], {"n": 200, "change_points": [100]})
-        write_metrics(paths["metrics"], {"hausdorff_scaled": 0.25})
-        write_bench_records(paths["bench"], {"reps": 0}, {})
         return [
             (read_truth, paths["truth"], ("change_points", [100])),
             (read_result, paths["result"], ("change_points", [100])),
-            (read_metrics, paths["metrics"], ("hausdorff_scaled", 0.25)),
-            (read_bench_records, paths["bench"], ("runs", [])),
         ]
 
     def test_bytes_path(self, documents):

@@ -11,7 +11,7 @@ import pytest
 from spharcp.bench import make_scenario
 from spharcp.errors import ConfigError
 from spharcp.simulate import ScenarioSpec, _substream_states, build_beta, simulate
-from spharcp.types import ArCoefficients, Partition, SegmentSpec
+from spharcp.types import ArCoefficients, Partition, SegmentSpec, slot_index
 
 from conftest import ar1_series
 
@@ -135,7 +135,7 @@ class TestSimulate:
 
     def test_iid_case_moments(self):
         series = simulate(single_segment_spec(n=20000, L=1, phi=0.0, c=1.0, seed=7))
-        x = series.stream(0, 0)
+        x = series.data[:, 0]
         assert abs(x.mean()) < 5 / np.sqrt(20000)
         assert x.var() == pytest.approx(1.0, abs=5 * np.sqrt(2 / 20000))
 
@@ -144,7 +144,7 @@ class TestSimulate:
         # sample variance of a Gaussian AR(1)
         n = 20000
         series = simulate(single_segment_spec(n=n, L=1, phi=0.5, c=1.0, seed=11))
-        x = series.stream(0, 0)
+        x = series.data[:, 0]
         target = 4.0 / 3.0
         se = target * np.sqrt(2.0 / n * (1 + 0.25) / (1 - 0.25))
         assert x.var() == pytest.approx(target, abs=5 * se)
@@ -152,14 +152,16 @@ class TestSimulate:
     def test_ar1_lag_one_autocorrelation(self):
         n = 20000
         series = simulate(single_segment_spec(n=n, L=1, phi=0.6, c=1.0, seed=13))
-        x = series.stream(0, 0)
+        x = series.data[:, 0]
         rho = np.corrcoef(x[1:], x[:-1])[0, 1]
         assert rho == pytest.approx(0.6, abs=0.02)
 
     def test_streams_uncorrelated_across_m(self):
         n = 20000
         series = simulate(single_segment_spec(n=n, L=2, phi=0.5, c=1.0, seed=17))
-        streams = [series.stream(ell, m) for ell in range(2) for m in range(-ell, ell + 1)]
+        streams = [
+            series.data[:, slot_index(ell, m)] for ell in range(2) for m in range(-ell, ell + 1)
+        ]
         tol = 5 / np.sqrt(n)
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
@@ -225,7 +227,7 @@ def test_ar1_helper_matches_direct_recursion():
     for i in range(500, 530):
         x = 0.4 * x + np.sqrt(2.0) * draws[i]
         out.append(x)
-    assert np.array_equal(series.stream(0, 0), out)
+    assert np.array_equal(series.data[:, 0], out)
 
 
 def replay_stream(spec, ell, m):
@@ -312,7 +314,8 @@ def test_simulate_matches_scalar_replay_bitwise(p, junction):
         for ell in range(L):
             for m in range(-ell, ell + 1):
                 want = replay_stream(spec, ell, m)
-                assert np.array_equal(series.stream(ell, m), want), (ell, m, intercepts, burn_in)
+                got = series.data[:, slot_index(ell, m)]
+                assert np.array_equal(got, want), (ell, m, intercepts, burn_in)
 
 
 # one-word seeds, the largest one-word and smallest two-word seeds, three
@@ -351,7 +354,8 @@ def test_simulate_matches_scalar_replay_bitwise_at_edge_seeds(p, junction, seed)
     series = simulate(spec)
     for ell in range(3):
         for m in range(-ell, ell + 1):
-            assert np.array_equal(series.stream(ell, m), replay_stream(spec, ell, m)), (ell, m)
+            got = series.data[:, slot_index(ell, m)]
+            assert np.array_equal(got, replay_stream(spec, ell, m)), (ell, m)
 
 
 def test_simulate_raises_no_warning():
